@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 from .device import DeviceCalibration
 from .errors import SolutionError, ValidationError
 from .graphs import GraphSpec, graph_from_edges
-from .model import SchedModel, Solution
+from .model import SchedModel, Solution, resolved_wires
 from .placement import Embedding
 
 
@@ -103,15 +103,9 @@ def derive_circuit(m: SchedModel, s: Solution) -> TimedCircuit:
         if gate.kind == "h" and v.B[gate.id]:
             continue
         if gate.kind == "cnot":
-            wires = (control[gate.id], target[gate.id])
-            kind = "cx"
+            kind, wires = "cx", (control[gate.id], target[gate.id])
         else:
-            origin, _, arg = gate.origin.partition(":")
-            if origin == "prep":
-                wires = (m.prep_wire(int(arg)),)
-            else:
-                wires = (target[int(arg)],)
-            kind = "h"
+            kind, wires = "h", resolved_wires(m, gate, v.C)
         timed.append(TimedGate(kind, wires, Fraction(v.S[gate.id]), Fraction(v.T[gate.id])))
     timed.sort(key=lambda g: (g.start, g.wires))
     _validate_wires(timed)
@@ -196,6 +190,12 @@ def circuit_from_json(data: dict) -> TimedCircuit:
         )
         for g in data["gates"]
     )
+    for k, g in enumerate(gates):
+        arity = 2 if g.kind == "cx" else 1
+        if len(set(g.wires)) != arity or len(g.wires) != arity or not set(g.wires) <= inverse.keys():
+            raise ValidationError(
+                f"gates[{k}].wires {list(g.wires)} must be {arity} distinct qubits of the placement"
+            )
     edges = set()
     for g in gates:
         if g.kind == "cx":

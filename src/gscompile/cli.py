@@ -18,6 +18,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__ as VERSION
 from .circuit import circuit_to_json, derive_circuit, export_circuit, load_circuit
 from .device import load_calibration, sample_calibration_path
 from .errors import (
@@ -42,7 +43,6 @@ from .placement import best_placement
 from .sim import NoiseModel, estimate_fidelity
 from .solver import solve_exact
 
-VERSION = "0.1.0"
 SCHEMA_VERSIONS = {
     "calibration": 1,
     "graph": 1,

@@ -8,7 +8,7 @@ nanoseconds so downstream scheduling and optimality checks stay exact.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -72,33 +72,33 @@ class DeviceCalibration:
     snapshot_label: str
     qubits: Tuple[PhysicalQubit, ...]
     couplers: Tuple[Coupler, ...]
+    _by_index: Dict[int, PhysicalQubit] = field(init=False, repr=False, compare=False)
+    _by_pair: Dict[Tuple[int, int], Coupler] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        indices = [q.index for q in self.qubits]
-        if len(set(indices)) != len(indices):
+        by_index = {q.index: q for q in self.qubits}
+        if len(by_index) != len(self.qubits):
             raise ValidationError("qubits: duplicate index")
-        known = set(indices)
-        pairs = set()
+        by_pair: Dict[Tuple[int, int], Coupler] = {}
         for c in self.couplers:
             for end in (c.a, c.b):
-                if end not in known:
+                if end not in by_index:
                     raise ValidationError(f"couplers[({c.a},{c.b})]: endpoint {end} is not a qubit")
-            if c.pair in pairs:
+            if c.pair in by_pair:
                 raise ValidationError(f"couplers[({c.a},{c.b})]: duplicate coupler for pair {c.pair}")
-            pairs.add(c.pair)
+            by_pair[c.pair] = c
+        object.__setattr__(self, "_by_index", by_index)
+        object.__setattr__(self, "_by_pair", by_pair)
 
     def qubit(self, index: int) -> PhysicalQubit:
-        return self._qubit_map()[index]
-
-    def _qubit_map(self) -> Dict[int, PhysicalQubit]:
-        return {q.index: q for q in self.qubits}
+        return self._by_index[index]
 
     def coupler(self, a: int, b: int) -> Coupler:
         key = (min(a, b), max(a, b))
-        for c in self.couplers:
-            if c.pair == key:
-                return c
-        raise ValidationError(f"no coupler for pair {key}")
+        c = self._by_pair.get(key)
+        if c is None:
+            raise ValidationError(f"no coupler for pair {key}")
+        return c
 
 
 def _require_keys(obj: dict, keys: set, where: str) -> None:

@@ -183,7 +183,19 @@ def load_graph(path) -> GraphSpec:
         raise ValidationError(f"malformed graph file {path}: {exc}") from exc
     if not isinstance(data, dict) or set(data) != {"n", "edges"}:
         raise ValidationError("graph file must have exactly the keys 'n' and 'edges'")
-    return graph_from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
+    n, edges = data["n"], data["edges"]
+    if not _is_int(n):
+        raise ValidationError(f"graph file: n must be an integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise ValidationError("graph file: edges must be a list of vertex pairs")
+    for k, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
+            raise ValidationError(f"graph file: edges[{k}] must be a pair of integer vertices, got {e!r}")
+    return graph_from_edges(n, [tuple(e) for e in edges])
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def stabilizer_generators(g: GraphSpec) -> List[PauliString]:

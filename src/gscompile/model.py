@@ -291,9 +291,6 @@ class SchedModel:
     def num_cnots(self) -> int:
         return len(self.cnot_info)
 
-    def cnot_id(self, i: int) -> int:
-        return i
-
     def prep_id(self, v: int) -> int:
         return self.num_cnots + v
 
@@ -356,7 +353,8 @@ def build_model(
 
     mapped = list(e.mapping)
     sq_dur = {q: cal.qubit(q).sq_duration_ns for q in mapped}
-    coherence = {q: Fraction(cal.qubit(q).coherence_time_us) * 1000 for q in mapped}
+    # str() gives the calibration's decimal, not the binary float's expansion.
+    coherence = {q: Fraction(str(cal.qubit(q).coherence_time_us)) * 1000 for q in mapped}
 
     m_cnots = len(edges)
     gates: List[GateId] = []

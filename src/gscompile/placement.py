@@ -24,9 +24,6 @@ class Embedding:
     mapping: Tuple[int, ...]
     score: float
 
-    def physical(self, vertex: int) -> int:
-        return self.mapping[vertex]
-
 
 def enumerate_embeddings(g: GraphSpec, cal: DeviceCalibration) -> Iterator[Embedding]:
     """Yield every topology embedding of g exactly once (score left at 0)."""

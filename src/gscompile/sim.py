@@ -73,10 +73,6 @@ class Tableau:
         self.r ^= self.x[:, q] & self.z[:, q]
         self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
 
-    def s(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.z[:, q] ^= self.x[:, q]
-
     def sdg(self, q: int) -> None:
         self.r ^= self.x[:, q] & (1 - self.z[:, q])
         self.z[:, q] ^= self.x[:, q]

@@ -7,6 +7,10 @@ leaf the schedule is fixed: Hadamard pairs that sit adjacently on a wire are
 canceled greedily (always optimal: removing gates never hurts any objective)
 and the remaining gates are placed as soon as possible along their wires.
 
+That leaf rule is written once, as _Leaf.place: the search places and
+unplaces CNOTs with it while descending, and _vars_from_leaf replays the
+winning (mask, order) through it to record every gate window.
+
 Bounds are admissible critical-path relaxations: per-wire ready time plus the
 CNOT durations still owed to that wire, assuming every future sandwich
 Hadamard cancels.
@@ -15,22 +19,27 @@ Hadamard cancels.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import CapExceededError
 from .model import (
     ModelVars,
-    Objective,
     ObjectiveKind,
     SchedModel,
     Solution,
+    resolved_wires,
 )
 
 DEFAULT_EXACT_CAP = 10
 
 
 def _direction_tables(m: SchedModel, mask: int):
-    """Per-CNOT (control, target, duration) plus per-wire cancellation data."""
+    """Per-CNOT (control, target, duration) plus per-wire cancellation data.
+
+    longest[q] is the longest CNOT targeting wire q (lowest index on ties): a
+    Hadamard on q can cancel only if it fits inside that window, which is
+    also where a canceled Hadamard's containment witness sits.
+    """
     control, target, dur = [], [], []
     for i, (pa, pb, dab, dba) in enumerate(m.cnot_info):
         if (mask >> i) & 1:
@@ -41,85 +50,100 @@ def _direction_tables(m: SchedModel, mask: int):
             control.append(pb)
             target.append(pa)
             dur.append(dba)
-    max_target_dur: Dict[int, int] = {q: 0 for q in m.mapped_qubits}
+    longest: Dict[int, int] = {}
     for i in range(m.num_cnots):
-        if dur[i] > max_target_dur[target[i]]:
-            max_target_dur[target[i]] = dur[i]
-    cancelable = {q: m.sq_dur[q] <= max_target_dur[q] for q in m.mapped_qubits}
-    return control, target, dur, cancelable
+        if target[i] not in longest or dur[i] > dur[longest[target[i]]]:
+            longest[target[i]] = i
+    cancelable = {q: q in longest and m.sq_dur[q] <= dur[longest[q]] for q in m.mapped_qubits}
+    return control, target, dur, cancelable, longest
 
 
-def evaluate_order(
-    m: SchedModel,
-    mask: int,
-    perm: Tuple[int, ...],
-    record: bool = False,
-):
-    """ASAP-schedule one (direction, order) leaf.
+class _Leaf:
+    """ASAP schedule of one direction mask, built up one CNOT at a time.
 
-    Returns (canceled, makespan, wire_end) and, when recording, the per-gate
-    windows and canceled-gate set needed to build a full variable assignment.
+    reset(mask) starts an empty schedule. place(i) is the single leaf step
+    shared by the search and the decode: the sandwich PRE on the target
+    wire cancels the pending Hadamard there when it fits inside the wire's
+    longest targeting CNOT, otherwise the pending Hadamard and then PRE
+    run; the control wire's pending Hadamard runs; the CNOT starts when
+    both wires are free and every crosstalk partner already placed has
+    ended; its POST becomes the target wire's pending Hadamard. With record
+    set, gate windows and canceled gate ids are kept for building a full
+    variable assignment.
     """
-    control, target, dur, cancelable = _direction_tables(m, mask)
-    sq = m.sq_dur
-    ready: Dict[int, int] = {q: 0 for q in m.mapped_qubits}
-    # pending[q]: lazily scheduled Hadamard that the next targeting CNOT may
-    # cancel; ("prep", gate_id) or ("post", gate_id).
-    pending: Dict[int, Optional[Tuple[str, int]]] = {
-        m.prep_wire(v): ("prep", m.prep_id(v)) for v in range(m.graph.n)
-    }
-    canceled = 0
-    canceled_ids = set()
-    windows: Dict[int, Tuple[int, int]] = {}
-    cnot_end: Dict[int, int] = {}
 
-    def flush(q: int) -> None:
-        item = pending[q]
-        if item is None:
-            return
-        pending[q] = None
-        start = ready[q]
-        ready[q] = start + sq[q]
-        if record:
-            windows[item[1]] = (start, ready[q])
+    def __init__(self, m: SchedModel, record: bool = False):
+        self.m = m
+        self.record = record
+        self.sq = m.sq_dur
+        self.pre = [m.pre_id(i) for i in range(m.num_cnots)]
+        self.post = [m.post_id(i) for i in range(m.num_cnots)]
+        self.partners: List[List[int]] = [[] for _ in range(m.num_cnots)]
+        for a, b in m.crosstalk_pairs:
+            self.partners[a].append(b)
+            self.partners[b].append(a)
+        self.preps = {m.prep_wire(v): m.prep_id(v) for v in range(m.graph.n)}
 
-    for i in perm:
-        c, t, d = control[i], target[i], dur[i]
-        # Sandwich PRE on the target wire, possibly canceling the pending H.
-        pre = m.pre_id(i)
-        if pending[t] is not None and cancelable[t]:
-            canceled += 2
-            if record:
-                canceled_ids.add(pending[t][1])
-                canceled_ids.add(pre)
-            pending[t] = None
+    def reset(self, mask: int) -> None:
+        self.control, self.target, self.dur, self.cancelable, self.longest = _direction_tables(self.m, mask)
+        self.ready: Dict[int, int] = dict.fromkeys(self.m.mapped_qubits, 0)
+        # pending[q]: id of the lazily scheduled Hadamard that the next
+        # CNOT targeting q may cancel.
+        self.pending: Dict[int, Optional[int]] = dict(self.preps)
+        self.canceled = 0
+        self.cnot_end: Dict[int, int] = {}
+        self.windows: Dict[int, Tuple[int, int]] = {}
+        self.canceled_ids: Set[int] = set()
+
+    def _run(self, gid: int, q: int) -> None:
+        start = self.ready[q]
+        self.ready[q] = start + self.sq[q]
+        if self.record:
+            self.windows[gid] = (start, self.ready[q])
+
+    def place(self, i: int):
+        """Schedule CNOT i with its sandwich; returns the record unplace needs."""
+        c, t = self.control[i], self.target[i]
+        ready, pending = self.ready, self.pending
+        undo = (ready[c], ready[t], pending[c], pending[t], self.canceled)
+        if pending[t] is not None and self.cancelable[t]:
+            self.canceled += 2
+            if self.record:
+                self.canceled_ids.update((pending[t], self.pre[i]))
         else:
-            flush(t)
-            start = ready[t]
-            ready[t] = start + sq[t]
-            if record:
-                windows[pre] = (start, ready[t])
-        flush(c)
+            if pending[t] is not None:
+                self._run(pending[t], t)
+            self._run(self.pre[i], t)
+        if pending[c] is not None:
+            self._run(pending[c], c)
+            pending[c] = None
         start = max(ready[c], ready[t])
-        if m.crosstalk_pairs:
-            for a, b in m.crosstalk_pairs:
-                other = b if a == i else (a if b == i else None)
-                if other is not None and other in cnot_end and cnot_end[other] > start:
-                    start = cnot_end[other]
-        end = start + d
+        for j in self.partners[i]:
+            end_j = self.cnot_end.get(j)
+            if end_j is not None and end_j > start:
+                start = end_j
+        end = start + self.dur[i]
         ready[c] = ready[t] = end
-        cnot_end[i] = end
-        if record:
-            windows[i] = (start, end)
-        pending[t] = ("post", m.post_id(i))
+        self.cnot_end[i] = end
+        if self.record:
+            self.windows[i] = (start, end)
+        pending[t] = self.post[i]
+        return undo
 
-    for q in m.mapped_qubits:
-        flush(q)
+    def unplace(self, i: int, undo) -> None:
+        c, t = self.control[i], self.target[i]
+        self.ready[c], self.ready[t], self.pending[c], self.pending[t], self.canceled = undo
+        del self.cnot_end[i]
 
-    makespan = max(ready.values())
-    if record:
-        return canceled, makespan, dict(ready), windows, canceled_ids
-    return canceled, makespan, ready
+    def wire_ends(self) -> Dict[int, int]:
+        """Per-wire end once every pending Hadamard runs (leaves the state as is)."""
+        ends = {}
+        for q, ready in self.ready.items():
+            gid = self.pending[q]
+            ends[q] = ready if gid is None else ready + self.sq[q]
+            if self.record and gid is not None:
+                self.windows[gid] = (ready, ends[q])
+        return ends
 
 
 class _Search:
@@ -131,6 +155,7 @@ class _Search:
 
     def __init__(self, m: SchedModel, mode: str, require_canceled: Optional[int] = None):
         self.m = m
+        self.leaf = _Leaf(m)
         self.mode = mode
         self.require_canceled = require_canceled
         self.best_key = None
@@ -145,10 +170,6 @@ class _Search:
                     self.dependent[i][j] = True
         for i, j in m.crosstalk_pairs:
             self.dependent[i][j] = self.dependent[j][i] = True
-        self.wire_edges: Dict[int, List[int]] = {q: [] for q in m.mapped_qubits}
-        for i, (pa, pb, _, _) in enumerate(m.cnot_info):
-            self.wire_edges[pa].append(i)
-            self.wire_edges[pb].append(i)
 
     def run(self) -> Tuple[object, int, Tuple[int, ...]]:
         m = self.m
@@ -159,11 +180,11 @@ class _Search:
         return self._value_from_key(self.best_key), mask, perm
 
     # Keys are "smaller is better" tuples.
-    def _leaf_key(self, canceled: int, makespan: int, wire_end: Dict[int, int]):
+    def _leaf_key(self, canceled: int, wire_end: Dict[int, int]):
         if self.mode == "cancel":
             return -canceled
         if self.mode == "makespan":
-            return makespan
+            return max(wire_end.values())
         m_rem = min(self.m.coherence_ns[q] - wire_end[q] for q in self.m.mapped_qubits)
         return -m_rem
 
@@ -172,19 +193,16 @@ class _Search:
 
     def _search_mask(self, mask: int) -> None:
         m = self.m
-        control, target, dur, cancelable = _direction_tables(m, mask)
-        sq = m.sq_dur
+        leaf = self.leaf
+        leaf.reset(mask)
+        control, target, dur, ready = leaf.control, leaf.target, leaf.dur, leaf.ready
         remaining_load = {q: 0 for q in m.mapped_qubits}
         for i in range(m.num_cnots):
             remaining_load[control[i]] += dur[i]
             remaining_load[target[i]] += dur[i]
 
-        ready = {q: 0 for q in m.mapped_qubits}
-        pending = {m.prep_wire(v): ("prep", m.prep_id(v)) for v in range(m.graph.n)}
-        cnot_end: Dict[int, int] = {}
-        all_edges = list(range(m.num_cnots))
-
-        def prune(canceled: int, cur_makespan: int, n_left: int) -> bool:
+        def prune(cur_makespan: int, n_left: int) -> bool:
+            canceled = leaf.canceled
             if self.require_canceled is not None and canceled + 2 * n_left < self.require_canceled:
                 return True
             if self.best_key is None:
@@ -204,111 +222,65 @@ class _Search:
             )
             return -ub >= self.best_key
 
-        def dfs(placed: List[int], canceled: int, cur_makespan: int, left: List[int]) -> None:
+        def dfs(placed: List[int], cur_makespan: int, left: List[int]) -> None:
             if not left:
-                if self.require_canceled is not None and canceled != self.require_canceled:
+                if self.require_canceled is not None and leaf.canceled != self.require_canceled:
                     return
-                wire_end = dict(ready)
-                end_max = cur_makespan
-                for q in m.mapped_qubits:
-                    if pending[q] is not None:
-                        wire_end[q] = ready[q] + sq[q]
-                    if wire_end[q] > end_max:
-                        end_max = wire_end[q]
-                key = self._leaf_key(canceled, end_max, wire_end)
+                key = self._leaf_key(leaf.canceled, leaf.wire_ends())
                 if self.best_key is None or key < self.best_key:
                     self.best_key = key
                     self.best_leaf = (mask, tuple(placed))
                 return
-            if prune(canceled, cur_makespan, len(left)):
+            if prune(cur_makespan, len(left)):
                 return
             last = placed[-1] if placed else None
             for i in list(left):
                 if last is not None and i < last and not self.dependent[i][last]:
                     continue  # canonical representative has ascending independent runs
                 c, t, d = control[i], target[i], dur[i]
-                saved = {
-                    "ready": (ready[c], ready[t]),
-                    "pending": (pending[c], pending[t]),
-                    "makespan": cur_makespan,
-                }
-                new_canceled = canceled
-                if pending[t] is not None and cancelable[t]:
-                    new_canceled += 2
-                    pending[t] = None
-                else:
-                    if pending[t] is not None:
-                        pending[t] = None
-                        ready[t] += sq[t]
-                    ready[t] += sq[t]  # PRE Hadamard
-                if pending[c] is not None:
-                    pending[c] = None
-                    ready[c] += sq[c]
-                start = max(ready[c], ready[t])
-                for a, b in m.crosstalk_pairs:
-                    other = b if a == i else (a if b == i else None)
-                    if other is not None and other in cnot_end and cnot_end[other] > start:
-                        start = cnot_end[other]
-                end = start + d
-                ready[c] = ready[t] = end
-                cnot_end[i] = end
-                pending[t] = ("post", m.post_id(i))
+                undo = leaf.place(i)
                 remaining_load[c] -= d
                 remaining_load[t] -= d
                 left.remove(i)
                 placed.append(i)
 
-                dfs(placed, new_canceled, max(cur_makespan, end), left)
+                dfs(placed, max(cur_makespan, leaf.cnot_end[i]), left)
 
                 placed.pop()
                 left.append(i)
                 left.sort()
                 remaining_load[c] += d
                 remaining_load[t] += d
-                del cnot_end[i]
-                ready[c], ready[t] = saved["ready"]
-                pending[c], pending[t] = saved["pending"]
-                cur_makespan = saved["makespan"]
+                leaf.unplace(i, undo)
 
-        dfs([], 0, 0, all_edges)
+        dfs([], 0, list(range(m.num_cnots)))
 
 
 def _vars_from_leaf(m: SchedModel, mask: int, perm: Tuple[int, ...]) -> ModelVars:
-    canceled, makespan, wire_end, windows, canceled_ids = evaluate_order(
-        m, mask, perm, record=True
-    )
-    control, target, dur, _ = _direction_tables(m, mask)
+    """Replay one (direction mask, edge order) leaf into a full assignment."""
+    leaf = _Leaf(m, record=True)
+    leaf.reset(mask)
+    for i in perm:
+        leaf.place(i)
+    leaf.wire_ends()
+    windows = leaf.windows
     c_bits = {i: bool((mask >> i) & 1) for i in range(m.num_cnots)}
     s_map: Dict[int, Fraction] = {}
     t_map: Dict[int, Fraction] = {}
     b_map: Dict[int, bool] = {}
 
-    # Ghost windows for canceled Hadamards: tucked at the start of the
-    # longest CNOT window targeting the wire (the containment witness).
-    witness_for: Dict[int, int] = {}
-    for q in m.mapped_qubits:
-        best = None
-        for i in range(m.num_cnots):
-            if target[i] == q and (best is None or dur[i] > dur[best] or (dur[i] == dur[best] and i < best)):
-                best = i
-        if best is not None:
-            witness_for[q] = best
-
     for gate in m.gates:
         gid = gate.id
         if gate.kind == "h":
-            b_map[gid] = gid in canceled_ids
+            b_map[gid] = gid in leaf.canceled_ids
         if gid in windows:
             s, t = windows[gid]
             s_map[gid], t_map[gid] = Fraction(s), Fraction(t)
         else:
-            origin, _, arg = gate.origin.partition(":")
-            if origin == "prep":
-                q = m.prep_wire(int(arg))
-            else:
-                q = target[int(arg)]
-            w = witness_for[q]
-            ws = windows[w][0]
+            # Ghost window of a canceled Hadamard: at the start of its
+            # wire's longest targeting CNOT, the containment witness.
+            (q,) = resolved_wires(m, gate, c_bits)
+            ws = windows[leaf.longest[q]][0]
             s_map[gid] = Fraction(ws)
             t_map[gid] = Fraction(ws + m.sq_dur[q])
     return ModelVars(C=c_bits, S=s_map, T=t_map, B=b_map)
@@ -334,11 +306,6 @@ def solve_exact(m: SchedModel, cap: int = DEFAULT_EXACT_CAP) -> Solution:
             ObjectiveKind.MAX_REMAINING_COHERENCE: "coherence",
         }[kind]
         value, mask, perm = _Search(m, mode).run()
-        if mode == "makespan":
-            objective_value = Fraction(value)
-        elif mode == "cancel":
-            objective_value = int(value)
-        else:
-            objective_value = Fraction(value)
+        objective_value = int(value) if mode == "cancel" else Fraction(value)
     vars = _vars_from_leaf(m, mask, perm)
     return Solution(vars=vars, objective_value=objective_value, proven_optimal=True)

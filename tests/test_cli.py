@@ -148,6 +148,42 @@ class TestOtherCommands:
         assert abs(json.loads(stdout)["fidelity_mitigated"] - 1.0) <= 1e-6
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "graph, field",
+        [
+            ({"n": 3, "edges": [[0, 1, 2]]}, "edges[0]"),
+            ({"n": "x", "edges": [[0, 1]]}, "n must be an integer"),
+            ({"n": 3, "edges": [[0, 1], [1, "2"]]}, "edges[1]"),
+        ],
+    )
+    def test_bad_graph_file_exit_1(self, tmp_path, capsys, graph, field):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(graph))
+        code, _, err = run_main(["place", "--graph", str(gpath)], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
+        assert field in err and "Traceback" not in err
+
+    def test_circuit_wire_outside_placement_exit_1(self, tmp_path, capsys, sym3_path):
+        circ = tmp_path / "c.json"
+        circ.write_text(json.dumps({
+            "n": 2,
+            "placement": [0, 1],
+            "makespan_ns": 370,
+            "gates": [
+                {"kind": "h", "wires": [0], "start_ns": 0, "end_ns": 35},
+                {"kind": "h", "wires": [1], "start_ns": 0, "end_ns": 35},
+                {"kind": "cx", "wires": [0, 1], "start_ns": 35, "end_ns": 335},
+                {"kind": "h", "wires": [9], "start_ns": 335, "end_ns": 370},
+            ],
+        }))
+        code, _, err = run_main(["simulate", "--circuit", str(circ), "--noise-from", sym3_path], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
+        assert "gates[3].wires" in err and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_repeat_invocations_bit_identical(self, tmp_path, capsys, sym3_path):
         outputs = []

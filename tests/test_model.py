@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gscompile.device import load_calibration, sample_calibration_path
 from gscompile.errors import ExternalSolverError, ValidationError
 from gscompile.graphs import linear_graph, star_graph
 from gscompile.model import (
@@ -16,7 +17,7 @@ from gscompile.model import (
     parse_external_solution,
     remaining_coherence_of,
 )
-from gscompile.placement import Embedding
+from gscompile.placement import Embedding, best_placement
 from gscompile.solver import solve_exact
 
 from conftest import graph_calibration, identity_embedding, line_calibration
@@ -52,6 +53,13 @@ class TestBuildModel:
         m = build_model(g, identity_embedding(g), cal, Objective(ObjectiveKind.MIN_MAKESPAN, crosstalk_free=True))
         # edges (0,1),(1,2),(2,3): only (0,1) vs (2,3) are disjoint AND adjacent
         assert m.crosstalk_pairs == [(0, 2)]
+
+    def test_coherence_ingest_is_exact_decimal(self):
+        cal = load_calibration(sample_calibration_path())
+        g = linear_graph(5)
+        m = build_model(g, best_placement(g, cal), cal, Objective(ObjectiveKind.MAX_REMAINING_COHERENCE))
+        assert all(d.denominator == 1 for d in m.coherence_ns.values())
+        assert "(/ " not in emit_smtlib(m)
 
 
 class TestCheckSolution:

@@ -104,17 +104,23 @@ class TestSolverProperties:
 
 class TestOracleAgreement:
     def test_matches_on_random_instances(self):
-        rng = random.Random(123)
-        graphs = [linear_graph(3), linear_graph(4), star_graph(4)]
-        for trial in range(6):
-            g = graphs[trial % len(graphs)]
-            cal = random_calibration(g, rng)
-            e = identity_embedding(g)
-            m0 = build_model(g, e, cal, Objective(ObjectiveKind.MIN_MAKESPAN))
-            sweep = oracle_sweep(m0)
-            for kind in ObjectiveKind:
-                m = build_model(g, e, cal, Objective(kind))
-                assert solve_exact(m).objective_value == sweep[kind][0], (trial, kind)
+        # One test id over both crosstalk settings, so the crosstalk wait of
+        # the leaf step is compared with the oracle too.
+        for crosstalk_free in (False, True):
+            rng = random.Random(123)
+            graphs = [linear_graph(3), linear_graph(4), star_graph(4)]
+            for trial in range(6):
+                g = graphs[trial % len(graphs)]
+                cal = random_calibration(g, rng)
+                e = identity_embedding(g)
+                m0 = build_model(g, e, cal, Objective(ObjectiveKind.MIN_MAKESPAN, crosstalk_free))
+                sweep = oracle_sweep(m0)
+                for kind in ObjectiveKind:
+                    m = build_model(g, e, cal, Objective(kind, crosstalk_free))
+                    s = solve_exact(m)
+                    where = (crosstalk_free, trial, kind)
+                    assert s.objective_value == sweep[kind][0], where
+                    assert check_solution(m, s) == [], where
 
     def test_oracle_refuses_large_instances(self):
         g = linear_graph(8)  # 7 CNOTs > oracle cap 6
