@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .device import DeviceCalibration
 from .errors import SolutionError, ValidationError
-from .graphs import GraphSpec, graph_from_edges
+from .graphs import GraphSpec, _is_int, graph_from_edges
 from .model import SchedModel, Solution, resolved_wires
 from .placement import Embedding
 
@@ -176,38 +176,54 @@ def circuit_to_json(c: TimedCircuit) -> dict:
     }
 
 
+def _int_field(value, name: str) -> int:
+    if not _is_int(value):
+        raise ValidationError(f"circuit file: {name} must be an integer, got {value!r}")
+    return value
+
+
 def circuit_from_json(data: dict) -> TimedCircuit:
-    if set(data) != {"n", "placement", "makespan_ns", "gates"}:
+    """Rebuild a circuit from its JSON form; a malformed field is a
+    ValidationError that names it."""
+    if not isinstance(data, dict) or set(data) != {"n", "placement", "makespan_ns", "gates"}:
         raise ValidationError("circuit file must have keys n, placement, makespan_ns, gates")
-    placement = tuple(int(q) for q in data["placement"])
-    inverse = {q: v for v, q in enumerate(placement)}
-    gates = tuple(
-        TimedGate(
-            str(g["kind"]),
-            tuple(int(w) for w in g["wires"]),
-            Fraction(int(g["start_ns"])),
-            Fraction(int(g["end_ns"])),
+    n = _int_field(data["n"], "n")
+    makespan = _int_field(data["makespan_ns"], "makespan_ns")
+    placement = data["placement"]
+    if not (isinstance(placement, list) and all(_is_int(q) for q in placement)
+            and len(set(placement)) == n == len(placement)):
+        raise ValidationError(
+            f"circuit file: placement must be a list of {n} distinct integer qubits, got {placement!r}"
         )
-        for g in data["gates"]
-    )
-    for k, g in enumerate(gates):
-        arity = 2 if g.kind == "cx" else 1
-        if len(set(g.wires)) != arity or len(g.wires) != arity or not set(g.wires) <= inverse.keys():
-            raise ValidationError(
-                f"gates[{k}].wires {list(g.wires)} must be {arity} distinct qubits of the placement"
-            )
+    if not isinstance(data["gates"], list):
+        raise ValidationError(f"circuit file: gates must be a list, got {data['gates']!r}")
+    inverse = {q: v for v, q in enumerate(placement)}
+    gates = []
     edges = set()
-    for g in gates:
-        if g.kind == "cx":
-            u, v = inverse[g.wires[0]], inverse[g.wires[1]]
+    for k, g in enumerate(data["gates"]):
+        if not isinstance(g, dict):
+            raise ValidationError(f"circuit file: gates[{k}] must be an object, got {g!r}")
+        kind, wires = g.get("kind"), g.get("wires")
+        if kind not in ("h", "cx"):
+            raise ValidationError(f"circuit file: gates[{k}].kind must be 'h' or 'cx', got {kind!r}")
+        arity = 2 if kind == "cx" else 1
+        if not (isinstance(wires, list) and len(wires) == arity and all(_is_int(w) for w in wires)
+                and len(set(wires)) == arity and set(wires) <= inverse.keys()):
+            raise ValidationError(
+                f"circuit file: gates[{k}].wires {wires!r} must be {arity} distinct qubits of the placement"
+            )
+        start = _int_field(g.get("start_ns"), f"gates[{k}].start_ns")
+        end = _int_field(g.get("end_ns"), f"gates[{k}].end_ns")
+        gates.append(TimedGate(kind, tuple(wires), Fraction(start), Fraction(end)))
+        if kind == "cx":
+            u, v = inverse[wires[0]], inverse[wires[1]]
             edges.add((min(u, v), max(u, v)))
-    graph = graph_from_edges(int(data["n"]), edges)
     return TimedCircuit(
-        n=int(data["n"]),
-        placement=placement,
-        gates=gates,
-        makespan=Fraction(int(data["makespan_ns"])),
-        graph=graph,
+        n=n,
+        placement=tuple(placement),
+        gates=tuple(gates),
+        makespan=Fraction(makespan),
+        graph=graph_from_edges(n, edges),
     )
 
 

@@ -8,14 +8,18 @@ nanoseconds so downstream scheduling and optimality checks stay exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import ValidationError
+from .graphs import _is_int
 
-_QUBIT_KEYS = {"index", "coherence_time_us", "readout_p01", "readout_p10", "sq_duration_ns", "sq_error"}
-_COUPLER_KEYS = {"a", "b", "duration_ab_ns", "duration_ba_ns", "error"}
+# Field name -> type of each calibration record.
+_QUBIT_FIELDS = {"index": int, "coherence_time_us": float, "readout_p01": float,
+                 "readout_p10": float, "sq_duration_ns": int, "sq_error": float}
+_COUPLER_FIELDS = {"a": int, "b": int, "duration_ab_ns": int, "duration_ba_ns": int, "error": float}
 
 
 @dataclass(frozen=True)
@@ -101,43 +105,42 @@ class DeviceCalibration:
         return c
 
 
-def _require_keys(obj: dict, keys: set, where: str) -> None:
-    extra = set(obj) - keys
+def _require_keys(obj: dict, keys, where: str) -> None:
+    extra = set(obj) - set(keys)
     if extra:
         raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
-    missing = keys - set(obj)
+    missing = set(keys) - set(obj)
     if missing:
         raise ValidationError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _records(data: dict, key: str, fields: Dict[str, type]) -> List[dict]:
+    """The list data[key] with each record's fields type-checked: integers
+    exactly (no bool, no float), reals as finite ints or floats."""
+    items = data[key]
+    if not isinstance(items, list):
+        raise ValidationError(f"{key} must be a list, got {type(items).__name__}")
+    out = []
+    for i, item in enumerate(items):
+        where = f"{key}[{i}]"
+        if not isinstance(item, dict):
+            raise ValidationError(f"{where} must be an object, got {item!r}")
+        _require_keys(item, fields, where)
+        for name, kind in fields.items():
+            v = item[name]
+            if kind is int and not _is_int(v):
+                raise ValidationError(f"{where}.{name} must be an integer, got {v!r}")
+            if kind is float and not (_is_int(v) or isinstance(v, float) and math.isfinite(v)):
+                raise ValidationError(f"{where}.{name} must be a finite number, got {v!r}")
+        out.append({name: kind(item[name]) for name, kind in fields.items()})
+    return out
+
+
 def calibration_from_json(data: dict) -> DeviceCalibration:
     _require_keys(data, {"snapshot_label", "qubits", "couplers"}, "calibration")
-    qubits = []
-    for i, q in enumerate(data["qubits"]):
-        _require_keys(q, _QUBIT_KEYS, f"qubits[{i}]")
-        qubits.append(
-            PhysicalQubit(
-                index=int(q["index"]),
-                coherence_time_us=float(q["coherence_time_us"]),
-                readout_p01=float(q["readout_p01"]),
-                readout_p10=float(q["readout_p10"]),
-                sq_duration_ns=int(q["sq_duration_ns"]),
-                sq_error=float(q["sq_error"]),
-            )
-        )
-    couplers = []
-    for i, c in enumerate(data["couplers"]):
-        _require_keys(c, _COUPLER_KEYS, f"couplers[{i}]")
-        couplers.append(
-            Coupler(
-                a=int(c["a"]),
-                b=int(c["b"]),
-                duration_ab_ns=int(c["duration_ab_ns"]),
-                duration_ba_ns=int(c["duration_ba_ns"]),
-                error=float(c["error"]),
-            )
-        )
-    return DeviceCalibration(str(data["snapshot_label"]), tuple(qubits), tuple(couplers))
+    qubits = tuple(PhysicalQubit(**q) for q in _records(data, "qubits", _QUBIT_FIELDS))
+    couplers = tuple(Coupler(**c) for c in _records(data, "couplers", _COUPLER_FIELDS))
+    return DeviceCalibration(str(data["snapshot_label"]), qubits, couplers)
 
 
 def load_calibration(path) -> DeviceCalibration:

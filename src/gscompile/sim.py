@@ -1,7 +1,12 @@
 """Stabilizer verification and noisy fidelity estimation for timed circuits.
 
 Ideal verification runs the circuit on a stabilizer tableau and checks every
-stabilizer-group element has expectation +1. Noisy estimation is a Pauli-frame
+stabilizer-group element has expectation +1. The tableau keeps one integer
+bitmask per qubit for its X and for its Z bits (bit k is row k) plus a sign
+mask. Everything read from it goes through one canonical form, the reduced row
+echelon form of its rows as ``PauliString``s, combined with ``pauli_mul``:
+expectations, the readout-only z-moments and the measurement distribution of
+the Monte Carlo estimator. Noisy estimation is a Pauli-frame
 Monte Carlo: one measurement setting per stabilizer element, depolarizing
 noise after gates, idle dephasing in the schedule's gaps, readout confusion,
 and optional unbiased readout mitigation. A dense density-matrix oracle
@@ -20,7 +25,7 @@ import numpy as np
 from .circuit import TimedCircuit
 from .device import DeviceCalibration
 from .errors import CapExceededError, ValidationError
-from .graphs import PauliString, stabilizer_group
+from .graphs import PauliString, pauli_mul, stabilizer_group
 
 DENSITY_CAP = 5
 
@@ -28,59 +33,44 @@ DENSITY_CAP = 5
 # ---------------------------------------------------------------------------
 # Stabilizer tableau
 
-def _g_exponents(x1, z1, x2, z2):
-    """Phase exponent of i contributed per qubit when multiplying Paulis."""
-    x1 = x1.astype(np.int64)
-    z1 = z1.astype(np.int64)
-    x2 = x2.astype(np.int64)
-    z2 = z2.astype(np.int64)
-    return (
-        x1 * z1 * (z2 - x2)
-        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
-    )
-
-
-def _rowsum(x, z, r, h: int, i: int) -> None:
-    """Row h := row i * row h with exact sign tracking (rows must commute)."""
-    total = 2 * int(r[h]) + 2 * int(r[i]) + int(_g_exponents(x[i], z[i], x[h], z[h]).sum())
-    total %= 4
-    if total % 2:
-        raise AssertionError("row product has imaginary phase")
-    r[h] = total // 2
-    x[h] ^= x[i]
-    z[h] ^= z[i]
-
-
 class Tableau:
-    """Stabilizer rows of an n-qubit state: X/Z bit matrices plus sign bits."""
+    """Stabilizer rows of an n-qubit state (Aaronson & Gottesman, PRA 70,
+    052328, 2004) as bitmasks: ``x[q]`` and ``z[q]`` hold qubit q's X and Z
+    bits with bit k for row k, and bit k of ``r`` is row k's sign (-1)^r.
+    Each gate is a few integer operations on its qubits' columns."""
 
     def __init__(self, n: int):
         self.n = n
-        self.x = np.zeros((n, n), dtype=np.uint8)
-        self.z = np.eye(n, dtype=np.uint8)
-        self.r = np.zeros(n, dtype=np.uint8)  # sign (-1)^r
+        self.x = [0] * n
+        self.z = [1 << q for q in range(n)]  # row q is +Z_q: |0...0>
+        self.r = 0
 
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
-        t.n = self.n
-        t.x = self.x.copy()
-        t.z = self.z.copy()
-        t.r = self.r.copy()
+        t.n, t.x, t.z, t.r = self.n, list(self.x), list(self.z), self.r
         return t
 
     def h(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+        self.r ^= self.x[q] & self.z[q]
+        self.x[q], self.z[q] = self.z[q], self.x[q]
 
     def sdg(self, q: int) -> None:
-        self.r ^= self.x[:, q] & (1 - self.z[:, q])
-        self.z[:, q] ^= self.x[:, q]
+        self.r ^= self.x[q] & ~self.z[q]
+        self.z[q] ^= self.x[q]
 
     def cx(self, c: int, t: int) -> None:
-        self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
-        self.x[:, t] ^= self.x[:, c]
-        self.z[:, c] ^= self.z[:, t]
+        self.r ^= self.x[c] & self.z[t] & ~(self.x[t] ^ self.z[c])
+        self.x[t] ^= self.x[c]
+        self.z[c] ^= self.z[t]
+
+    def rows(self) -> List[PauliString]:
+        """The n generators as signed Pauli strings."""
+        out = []
+        for k in range(self.n):
+            xm = sum(((col >> k) & 1) << q for q, col in enumerate(self.x))
+            zm = sum(((col >> k) & 1) << q for q, col in enumerate(self.z))
+            out.append(PauliString(self.n, xm, zm, -1 if (self.r >> k) & 1 else 1))
+        return out
 
 
 def simulate_ideal(c: TimedCircuit) -> Tableau:
@@ -97,72 +87,54 @@ def simulate_ideal(c: TimedCircuit) -> Tableau:
     return tab
 
 
-def _rref_with_phases(tab: Tableau):
-    """Reduce rows over the 2n symplectic columns (X block first), keeping
-    signs exact. Returns (x, z, r, pivots) where pivots[k] is row k's column."""
-    x, z, r = tab.x.copy(), tab.z.copy(), tab.r.copy()
-    n = tab.n
-    cols = [("x", j) for j in range(n)] + [("z", j) for j in range(n)]
-    row = 0
-    pivots: List[Tuple[str, int]] = []
-    for col in cols:
-        block = x if col[0] == "x" else z
-        j = col[1]
-        k = next((k for k in range(row, n) if block[k, j]), None)
+def _column(p: PauliString, col: int) -> int:
+    """Bit of symplectic column col: X_col for col < n, else Z_(col-n)."""
+    return (p.x_mask | p.z_mask << p.n) >> col & 1
+
+
+def _canonical(tab: Tableau) -> List[Tuple[int, PauliString]]:
+    """Reduced row echelon form of the stabilizer rows over the 2n symplectic
+    columns, X block first, as (pivot column, row) pairs. Rows are combined
+    with ``pauli_mul``, so signs stay exact. The form of a row space is
+    unique, so every reader sees the same rows whatever the gate history."""
+    rows = tab.rows()
+    pivots: List[int] = []
+    for col in range(2 * tab.n):
+        top = len(pivots)
+        k = next((k for k in range(top, tab.n) if _column(rows[k], col)), None)
         if k is None:
             continue
-        if k != row:
-            for arr in (x, z):
-                arr[[row, k]] = arr[[k, row]]
-            r[[row, k]] = r[[k, row]]
-        for other in range(n):
-            if other != row and block[other, j]:
-                _rowsum(x, z, r, other, row)
+        rows[top], rows[k] = rows[k], rows[top]
+        for other in range(tab.n):
+            if other != top and _column(rows[other], col):
+                rows[other] = pauli_mul(rows[top], rows[other])
         pivots.append(col)
-        row += 1
-    return x, z, r, pivots
+    return list(zip(pivots, rows))  # paired only now: the loop replaces rows
 
 
-def _member_phase(rref, px: np.ndarray, pz: np.ndarray) -> Optional[int]:
-    """Sign bit of the group element matching the unsigned Pauli (px, pz),
-    or None when the Pauli is not in the stabilizer group."""
-    x, z, r, pivots = rref
-    n = px.size
-    tx, tz = px.copy(), pz.copy()
-    acc_x = np.zeros(n, dtype=np.uint8)
-    acc_z = np.zeros(n, dtype=np.uint8)
-    phase = 0
-    for k, (blk, j) in enumerate(pivots):
-        bit = tx[j] if blk == "x" else tz[j]
-        if not bit:
-            continue
-        phase += 2 * int(r[k]) + int(_g_exponents(x[k], z[k], acc_x, acc_z).sum())
-        acc_x ^= x[k]
-        acc_z ^= z[k]
-        tx ^= x[k]
-        tz ^= z[k]
-    if tx.any() or tz.any():
+def _member(canon: List[Tuple[int, PauliString]], p: PauliString) -> Optional[PauliString]:
+    """The group element with p's X/Z bits (its sign is the state's), or None
+    when no element has them. In reduced form only pivot row k has pivot
+    column k, so the element is the product of the rows whose pivots p hits."""
+    acc = PauliString(p.n, 0, 0)
+    for col, row in canon:
+        if _column(p, col):
+            acc = pauli_mul(acc, row)
+    if (acc.x_mask, acc.z_mask) != (p.x_mask, p.z_mask):
         return None
-    phase %= 4
-    if phase % 2:
-        raise AssertionError("group member has imaginary phase")
-    return phase // 2
+    return acc
 
 
 def expectation(tab: Tableau, p: PauliString) -> int:
     """Expectation of a signed Pauli on the tableau's state: +1, -1, or 0."""
     if p.n != tab.n:
         raise ValidationError("Pauli size does not match the tableau")
-    px = np.array([(p.x_mask >> i) & 1 for i in range(p.n)], dtype=np.uint8)
-    pz = np.array([(p.z_mask >> i) & 1 for i in range(p.n)], dtype=np.uint8)
-    anti = ((tab.x @ pz.astype(np.int64)) + (tab.z @ px.astype(np.int64))) % 2
-    if anti.any():
+    if not all(p.commutes_with(row) for row in tab.rows()):
         return 0
-    phase = _member_phase(_rref_with_phases(tab), px, pz)
-    if phase is None:  # unreachable for a full tableau, kept as a guard
+    member = _member(_canonical(tab), p)
+    if member is None:  # unreachable for a full tableau, kept as a guard
         return 0
-    sign = -1 if phase else 1
-    return 1 if sign == p.sign else -1
+    return 1 if member.sign == p.sign else -1
 
 
 # ---------------------------------------------------------------------------
@@ -271,54 +243,20 @@ def _outcome_sampler(tab: Tableau):
 
     Outcomes are uniform over an affine subspace: returns (b0, basis) with
     b0 a particular outcome and basis rows spanning the free directions.
+    They are read off the pure-Z rows of the canonical form: the row with
+    pivot Z_j fixes b[j] given the free bits, whose own value in b0 is 0.
     """
-    x, z, r = tab.x.copy(), tab.z.copy(), tab.r.copy()
     n = tab.n
-    row = 0
-    for j in range(n):  # eliminate the X block; leftover rows are pure Z
-        k = next((k for k in range(row, n) if x[k, j]), None)
-        if k is None:
-            continue
-        if k != row:
-            for arr in (x, z):
-                arr[[row, k]] = arr[[k, row]]
-            r[[row, k]] = r[[k, row]]
-        for other in range(n):
-            if other != row and x[other, j]:
-                _rowsum(x, z, r, other, row)
-        row += 1
-    a_mat = z[row:].astype(np.uint8)
-    c_vec = r[row:].astype(np.uint8)
-
-    # Solve a_mat @ b = c_vec over GF(2).
-    a = a_mat.copy()
-    c = c_vec.copy()
-    m = a.shape[0]
-    pivots: List[int] = []
-    rr = 0
-    for col in range(n):
-        k = next((k for k in range(rr, m) if a[k, col]), None)
-        if k is None:
-            continue
-        a[[rr, k]] = a[[k, rr]]
-        c[[rr, k]] = c[[k, rr]]
-        for other in range(m):
-            if other != rr and a[other, col]:
-                a[other] ^= a[rr]
-                c[other] ^= c[rr]
-        pivots.append(col)
-        rr += 1
-    if any(c[k] for k in range(rr, m)):
-        raise AssertionError("inconsistent stabilizer measurement constraints")
+    zrows = {col - n: row for col, row in _canonical(tab) if col >= n}
     b0 = np.zeros(n, dtype=np.uint8)
-    for k, col in enumerate(pivots):
-        b0[col] = c[k]
-    free = [j for j in range(n) if j not in pivots]
+    for j, row in zrows.items():
+        b0[j] = row.sign < 0
+    free = [j for j in range(n) if j not in zrows]
     basis = np.zeros((len(free), n), dtype=np.uint8)
     for bi, fj in enumerate(free):
         basis[bi, fj] = 1
-        for k, col in enumerate(pivots):
-            basis[bi, col] = a[k, fj]
+        for j, row in zrows.items():
+            basis[bi, j] = (row.z_mask >> fj) & 1
     return b0, basis
 
 
@@ -465,18 +403,14 @@ def _element_analytic(
     noise models.
     """
     n = c.n
-    rot_tab = _rotated_tableau(ideal_tab, _rotation_ops(element))
-    rref = _rref_with_phases(rot_tab)
+    canon = _canonical(_rotated_tableau(ideal_tab, _rotation_ops(element)))
     support = [v for v in range(n) if (element.support() >> v) & 1]
 
     def z_moment(subset: Tuple[int, ...]) -> float:
-        pz = np.zeros(n, dtype=np.uint8)
-        for v in subset:
-            pz[v] = 1
-        phase = _member_phase(rref, np.zeros(n, dtype=np.uint8), pz)
-        if phase is None:
+        member = _member(canon, PauliString(n, 0, sum(1 << v for v in subset)))
+        if member is None:
             return 0.0
-        return -1.0 if phase else 1.0
+        return float(member.sign)
 
     raw = 0.0
     for mask in range(1 << len(support)):

@@ -286,11 +286,11 @@ def _vars_from_leaf(m: SchedModel, mask: int, perm: Tuple[int, ...]) -> ModelVar
     return ModelVars(C=c_bits, S=s_map, T=t_map, B=b_map)
 
 
-def solve_exact(m: SchedModel, cap: int = DEFAULT_EXACT_CAP) -> Solution:
+def solve_exact(m: SchedModel) -> Solution:
     """Provably optimal solution by exhaustive branch-and-bound."""
-    if m.num_cnots > cap:
+    if m.num_cnots > DEFAULT_EXACT_CAP:
         raise CapExceededError(
-            f"{m.num_cnots} CNOTs exceeds the exact-search cap of {cap}; use emit-smt"
+            f"{m.num_cnots} CNOTs exceeds the exact-search cap of {DEFAULT_EXACT_CAP}; use emit-smt"
         )
     kind = m.objective.kind
     if kind is ObjectiveKind.SMT_RUNTIME:

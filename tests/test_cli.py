@@ -184,6 +184,59 @@ class TestMalformedInput:
         assert "gates[3].wires" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda c: c["gates"][1].pop("end_ns"), "gates[1].end_ns"),
+            (lambda c: c["gates"][0].update(start_ns="x"), "gates[0].start_ns"),
+            (lambda c: c["gates"][2].update(kind="cz"), "gates[2].kind"),
+            (lambda c: c.update(gates=5), "gates must be a list"),
+            (lambda c: c.update(n="q"), "n must be an integer"),
+            (lambda c: c.update(placement=[0, 0]), "placement must be a list"),
+            (lambda c: c.update(makespan_ns=335.5), "makespan_ns"),
+        ],
+    )
+    def test_bad_circuit_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):
+        data = {
+            "n": 2,
+            "placement": [0, 1],
+            "makespan_ns": 335,
+            "gates": [
+                {"kind": "h", "wires": [0], "start_ns": 0, "end_ns": 35},
+                {"kind": "h", "wires": [1], "start_ns": 0, "end_ns": 35},
+                {"kind": "cx", "wires": [0, 1], "start_ns": 35, "end_ns": 335},
+            ],
+        }
+        edit(data)
+        circ = tmp_path / "c.json"
+        circ.write_text(json.dumps(data))
+        code, _, err = run_main(["simulate", "--circuit", str(circ), "--noise-from", sym3_path], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
+        assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d["qubits"][0].update(coherence_time_us="abc"), "qubits[0].coherence_time_us"),
+            (lambda d: d["qubits"][1].update(coherence_time_us=float("nan")), "qubits[1].coherence_time_us"),
+            (lambda d: d["qubits"][2].update(index=2.0), "qubits[2].index"),
+            (lambda d: d["couplers"][1].update(duration_ab_ns="300"), "couplers[1].duration_ab_ns"),
+            (lambda d: d.update(couplers="nope"), "couplers must be a list"),
+            (lambda d: d.update(qubits=[5]), "qubits[0] must be an object"),
+        ],
+    )
+    def test_bad_calibration_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):
+        with open(sym3_path, encoding="utf-8") as f:
+            data = json.load(f)
+        edit(data)
+        cal = tmp_path / "bad.json"
+        cal.write_text(json.dumps(data))
+        code, _, err = run_main(["place", "--graph", "linear:3", "--cal", str(cal)], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
+        assert field in err and "Traceback" not in err
+
 class TestDeterminism:
     def test_repeat_invocations_bit_identical(self, tmp_path, capsys, sym3_path):
         outputs = []

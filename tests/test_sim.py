@@ -43,13 +43,16 @@ def compiled(g, cal, kind=ObjectiveKind.SMT_RUNTIME):
 def statevector(n, ops):
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1.0
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    one_qubit = {
+        "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+        "sdg": np.diag([1, -1j]),
+    }
     for kind, *ws in ops:
-        if kind == "h":
+        if kind in one_qubit:
             q = ws[0]
             full = np.array([[1.0 + 0j]])
             for j in range(n - 1, -1, -1):
-                full = np.kron(full, h if j == q else np.eye(2))
+                full = np.kron(full, one_qubit[kind] if j == q else np.eye(2))
             psi = full @ psi
         else:
             c, t = ws
@@ -64,8 +67,9 @@ def statevector(n, ops):
 def clifford_ops(draw, n=3, max_len=8):
     ops = []
     for _ in range(draw(st.integers(0, max_len))):
-        if draw(st.booleans()):
-            ops.append(("h", draw(st.integers(0, n - 1))))
+        kind = draw(st.sampled_from(["h", "sdg", "cx"]))
+        if kind != "cx":
+            ops.append((kind, draw(st.integers(0, n - 1))))
         else:
             c = draw(st.integers(0, n - 1))
             t = draw(st.integers(0, n - 2))
