@@ -41,17 +41,20 @@ class TimedCircuit:
 
 
 def _validate_wires(gates: Sequence[TimedGate]) -> None:
-    by_wire: Dict[int, List[TimedGate]] = {}
-    for g in gates:
+    """Every window is positive and, on each wire, every gate starts no
+    earlier than the previous gate listed on that wire ends, so each wire's
+    gates are listed in time order. Faults name the gate's index and field."""
+    free: Dict[int, Fraction] = {}  # wire -> end of its last listed gate
+    for k, g in enumerate(gates):
         if g.end <= g.start:
-            raise SolutionError(f"gate {g} has a non-positive window")
+            raise SolutionError(f"gates[{k}].end_ns {g.end} gives a non-positive window from {g.start}")
         for q in g.wires:
-            by_wire.setdefault(q, []).append(g)
-    for q, lst in by_wire.items():
-        lst = sorted(lst, key=lambda g: g.start)
-        for a, b in zip(lst, lst[1:]):
-            if a.end > b.start:
-                raise SolutionError(f"overlapping gates on qubit {q}: {a} / {b}")
+            if q in free and g.start < free[q]:
+                raise SolutionError(
+                    f"gates[{k}].start_ns {g.start} on qubit {q} is before {free[q]}, where the "
+                    f"previous gate on that qubit ends: overlapping gates"
+                )
+            free[q] = g.end
 
 
 def derive_circuit(m: SchedModel, s: Solution) -> TimedCircuit:
@@ -218,6 +221,13 @@ def circuit_from_json(data: dict) -> TimedCircuit:
         if kind == "cx":
             u, v = inverse[wires[0]], inverse[wires[1]]
             edges.add((min(u, v), max(u, v)))
+    try:
+        _validate_wires(gates)
+    except SolutionError as exc:
+        raise ValidationError(f"circuit file: {exc}") from None
+    last_end = max((g.end for g in gates), default=0)
+    if makespan < last_end:
+        raise ValidationError(f"circuit file: makespan_ns {makespan} is before the last gate end {last_end}")
     return TimedCircuit(
         n=n,
         placement=tuple(placement),

@@ -9,8 +9,11 @@ expectations, the readout-only z-moments and the measurement distribution of
 the Monte Carlo estimator. Noisy estimation is a Pauli-frame
 Monte Carlo: one measurement setting per stabilizer element, depolarizing
 noise after gates, idle dephasing in the schedule's gaps, readout confusion,
-and optional unbiased readout mitigation. A dense density-matrix oracle
-replays the exact same event stream for small systems.
+and optional unbiased readout mitigation. A frame is one boolean row per
+qubit for its X part and one for its Z part, each holding every shot, so a
+gate or a fault is a few whole-row operations and a CNOT fault touches only
+the shots it hits. A dense density-matrix oracle replays the exact same event
+stream for small systems.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,28 +40,33 @@ class Tableau:
     """Stabilizer rows of an n-qubit state (Aaronson & Gottesman, PRA 70,
     052328, 2004) as bitmasks: ``x[q]`` and ``z[q]`` hold qubit q's X and Z
     bits with bit k for row k, and bit k of ``r`` is row k's sign (-1)^r.
-    Each gate is a few integer operations on its qubits' columns."""
+    Each gate is a few integer operations on its qubits' columns; ``canon``
+    caches the state's canonical form until the next gate."""
 
     def __init__(self, n: int):
         self.n = n
         self.x = [0] * n
         self.z = [1 << q for q in range(n)]  # row q is +Z_q: |0...0>
         self.r = 0
+        self.canon: Optional[Tuple[Tuple[int, PauliString], ...]] = None
 
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
-        t.n, t.x, t.z, t.r = self.n, list(self.x), list(self.z), self.r
+        t.n, t.x, t.z, t.r, t.canon = self.n, list(self.x), list(self.z), self.r, self.canon
         return t
 
     def h(self, q: int) -> None:
+        self.canon = None
         self.r ^= self.x[q] & self.z[q]
         self.x[q], self.z[q] = self.z[q], self.x[q]
 
     def sdg(self, q: int) -> None:
+        self.canon = None
         self.r ^= self.x[q] & ~self.z[q]
         self.z[q] ^= self.x[q]
 
     def cx(self, c: int, t: int) -> None:
+        self.canon = None
         self.r ^= self.x[c] & self.z[t] & ~(self.x[t] ^ self.z[c])
         self.x[t] ^= self.x[c]
         self.z[c] ^= self.z[t]
@@ -92,11 +100,14 @@ def _column(p: PauliString, col: int) -> int:
     return (p.x_mask | p.z_mask << p.n) >> col & 1
 
 
-def _canonical(tab: Tableau) -> List[Tuple[int, PauliString]]:
+def _canonical(tab: Tableau) -> Tuple[Tuple[int, PauliString], ...]:
     """Reduced row echelon form of the stabilizer rows over the 2n symplectic
     columns, X block first, as (pivot column, row) pairs. Rows are combined
     with ``pauli_mul``, so signs stay exact. The form of a row space is
-    unique, so every reader sees the same rows whatever the gate history."""
+    unique, so every reader sees the same rows whatever the gate history.
+    It is cached on the tableau until the tableau's next gate."""
+    if tab.canon is not None:
+        return tab.canon
     rows = tab.rows()
     pivots: List[int] = []
     for col in range(2 * tab.n):
@@ -109,10 +120,11 @@ def _canonical(tab: Tableau) -> List[Tuple[int, PauliString]]:
             if other != top and _column(rows[other], col):
                 rows[other] = pauli_mul(rows[top], rows[other])
         pivots.append(col)
-    return list(zip(pivots, rows))  # paired only now: the loop replaces rows
+    tab.canon = tuple(zip(pivots, rows))  # paired only now: the loop replaces rows
+    return tab.canon
 
 
-def _member(canon: List[Tuple[int, PauliString]], p: PauliString) -> Optional[PauliString]:
+def _member(canon: Tuple[Tuple[int, PauliString], ...], p: PauliString) -> Optional[PauliString]:
     """The group element with p's X/Z bits (its sign is the state's), or None
     when no element has them. In reduced form only pivot row k has pivot
     column k, so the element is the product of the rows whose pivots p hits."""
@@ -129,9 +141,10 @@ def expectation(tab: Tableau, p: PauliString) -> int:
     """Expectation of a signed Pauli on the tableau's state: +1, -1, or 0."""
     if p.n != tab.n:
         raise ValidationError("Pauli size does not match the tableau")
-    if not all(p.commutes_with(row) for row in tab.rows()):
+    canon = _canonical(tab)  # spans the same group as the tableau's rows
+    if not all(p.commutes_with(row) for _, row in canon):
         return 0
-    member = _member(_canonical(tab), p)
+    member = _member(canon, p)
     if member is None:  # unreachable for a full tableau, kept as a guard
         return 0
     return 1 if member.sign == p.sign else -1
@@ -217,24 +230,15 @@ def _event_stream(c: TimedCircuit, noise: NoiseModel):
     return events
 
 
-def _rotation_ops(element: PauliString) -> List[Tuple[str, int]]:
-    """Basis change mapping each X to Z (H) and each Y to Z (S-dagger, H)."""
-    ops: List[Tuple[str, int]] = []
-    for v in range(element.n):
-        xb = (element.x_mask >> v) & 1
-        zb = (element.z_mask >> v) & 1
-        if xb and zb:
-            ops.append(("sdg", v))
-            ops.append(("h", v))
-        elif xb:
-            ops.append(("h", v))
-    return ops
-
-
-def _rotated_tableau(tab: Tableau, ops: Sequence[Tuple[str, int]]) -> Tableau:
+def _rotated_tableau(tab: Tableau, element: PauliString) -> Tableau:
+    """The state after the basis change mapping each X of the element to Z
+    (H) and each Y to Z (S-dagger, then H)."""
     t = tab.copy()
-    for kind, v in ops:
-        getattr(t, kind)(v)
+    for v in range(element.n):
+        if (element.x_mask >> v) & 1:
+            if (element.z_mask >> v) & 1:
+                t.sdg(v)
+            t.h(v)
     return t
 
 
@@ -293,42 +297,38 @@ class NoisyEstimate:
     elements: Tuple[ElementEstimate, ...]
 
 
+# Fault bits of the drawn two-qubit Pauli code 1..15, one row per frame row
+# it flips: X then Z on the first wire, X then Z on the second.
+_CX_FAULT_BITS = (np.arange(16) >> np.arange(4)[:, None] & 1).astype(bool)
+
+
 def _frame_apply_gate(fx, fz, kind: str, wires: Tuple[int, ...]) -> None:
     if kind == "h":
         v = wires[0]
-        tmp = fx[:, v].copy()
-        fx[:, v] = fz[:, v]
-        fz[:, v] = tmp
-    elif kind == "sdg":
-        v = wires[0]
-        fz[:, v] ^= fx[:, v]
+        fx[v], fz[v] = fz[v], fx[v]  # rows are separate arrays: swap, no copy
     else:  # cx
         cq, tq = wires
-        fx[:, tq] ^= fx[:, cq]
-        fz[:, cq] ^= fz[:, tq]
+        fx[tq] ^= fx[cq]
+        fz[cq] ^= fz[tq]
 
 
 def _frame_noise(fx, fz, rng, kind: str, wires: Tuple[int, ...], p: float) -> None:
     if p <= 0:
         return
-    shots = fx.shape[0]
+    shots = len(fx[0])
     if kind == "idle":
-        hit = rng.random(shots) < p
-        fz[hit, wires[0]] ^= 1
+        fz[wires[0]] ^= rng.random(shots) < p
     elif kind == "h":
         u = rng.random(shots)
         v = wires[0]
-        fx[u < 2 * p / 3, v] ^= 1  # X or Y component
-        fz[(u >= p / 3) & (u < p), v] ^= 1  # Y or Z component
+        fx[v] ^= u < 2 * p / 3  # X or Y component
+        fz[v] ^= (u >= p / 3) & (u < p)  # Y or Z component
     else:  # cx: uniform over the 15 non-identity two-qubit Paulis
-        hit = rng.random(shots) < p
-        idx = rng.integers(1, 16, size=shots)
-        idx = np.where(hit, idx, 0)
+        hit = np.flatnonzero(rng.random(shots) < p)
+        bits = _CX_FAULT_BITS[:, rng.integers(1, 16, size=shots)[hit]]
         a, b = wires
-        fx[:, a] ^= ((idx >> 0) & 1).astype(np.uint8)
-        fz[:, a] ^= ((idx >> 1) & 1).astype(np.uint8)
-        fx[:, b] ^= ((idx >> 2) & 1).astype(np.uint8)
-        fz[:, b] ^= ((idx >> 3) & 1).astype(np.uint8)
+        for row, flips in zip((fx[a], fz[a], fx[b], fz[b]), bits):
+            row[hit] ^= flips
 
 
 def _element_mc(
@@ -341,52 +341,44 @@ def _element_mc(
     rng,
     mitigate: bool,
 ) -> ElementEstimate:
-    n = c.n
-    ops = _rotation_ops(element)
-    rot_tab = _rotated_tableau(ideal_tab, ops)
-    b0, basis = _outcome_sampler(rot_tab)
+    b0, basis = _outcome_sampler(_rotated_tableau(ideal_tab, element))
 
-    fx = np.zeros((shots, n), dtype=np.uint8)
-    fz = np.zeros((shots, n), dtype=np.uint8)
+    fx = [np.zeros(shots, dtype=bool) for _ in range(c.n)]  # one row per qubit
+    fz = [np.zeros(shots, dtype=bool) for _ in range(c.n)]
     for kind, wires, p in events:
         if kind != "idle":
             _frame_apply_gate(fx, fz, kind, wires)
         _frame_noise(fx, fz, rng, kind, wires, p)
-    for kind, v in ops:  # basis rotations are treated as noiseless
-        _frame_apply_gate(fx, fz, kind, (v,))
 
+    # The basis change (H for X, S-dagger then H for Y) is noiseless, so a Z
+    # outcome is flipped by the rotated frame's X bit: the frame's Z bit
+    # under an X, X xor Z under a Y, its X bit under a Z.
+    support = [v for v in range(c.n) if (element.support() >> v) & 1]
+    ys, xs = element.x_mask & element.z_mask, element.x_mask & ~element.z_mask
+    bits = np.array([fx[v] ^ fz[v] if ys >> v & 1 else fz[v] if xs >> v & 1 else fx[v] for v in support])
+    bits ^= b0[support, None] != 0
     if basis.shape[0]:
         u = rng.integers(0, 2, size=(shots, basis.shape[0]), dtype=np.uint8)
-        bits = (u @ basis) % 2
-        bits ^= b0
-    else:
-        bits = np.broadcast_to(b0, (shots, n)).copy()
-    bits ^= fx  # frame X components flip Z-measurement outcomes
+        for col, rows in zip(np.ascontiguousarray(u.T, dtype=bool), basis[:, support] != 0):
+            bits[rows] ^= col  # a free direction flips the outcomes its basis row covers
 
-    support = [v for v in range(n) if (element.support() >> v) & 1]
-    parity = np.zeros(shots, dtype=np.uint8)
-    weights = np.ones(shots, dtype=np.float64) if mitigate else None
-    for v in support:
-        q = c.placement[v]
-        p01, p10 = noise.readout[q]
-        b = bits[:, v].astype(bool)
-        flip = rng.random(shots) < np.where(b, p10, p01)
-        obs = b ^ flip
-        parity ^= obs
-        if mitigate:
-            w0, w1 = _mitigation_weights(p01, p10)
-            weights *= np.where(obs, w1, w0)
-    raw_vals = element.sign * (1.0 - 2.0 * parity.astype(np.float64))
+    # One (k, shots) block of readout uniforms: the same numbers as k draws.
+    p01, p10 = np.array([noise.readout[c.placement[v]] for v in support]).T[:, :, None]
+    obs = bits ^ (rng.random((len(support), shots)) < np.where(bits, p10, p01))
+    parity = np.bitwise_xor.reduce(obs, axis=0)
 
     def summarize(vals):
         err = float(vals.std(ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
         return float(vals.mean()), err
 
-    raw, err_raw = summarize(raw_vals)
+    raw, err_raw = summarize(element.sign * (1.0 - 2.0 * parity.astype(np.float64)))
+    mit = err_mit = None
     if mitigate:
+        weights = np.ones(shots, dtype=np.float64)  # multiplied in support order
+        for row, v in zip(obs, support):
+            w0, w1 = _mitigation_weights(*noise.readout[c.placement[v]])
+            weights *= np.where(row, w1, w0)
         mit, err_mit = summarize(element.sign * weights)
-    else:
-        mit, err_mit = None, None
     return ElementEstimate(element.label, raw, mit, err_raw, err_mit)
 
 
@@ -403,7 +395,7 @@ def _element_analytic(
     noise models.
     """
     n = c.n
-    canon = _canonical(_rotated_tableau(ideal_tab, _rotation_ops(element)))
+    canon = _canonical(_rotated_tableau(ideal_tab, element))
     support = [v for v in range(n) if (element.support() >> v) & 1]
 
     def z_moment(subset: Tuple[int, ...]) -> float:
@@ -443,7 +435,12 @@ def estimate_fidelity(
     One measurement setting per stabilizer element; fidelity is the mean of
     the 2^n element expectations. Each element draws from an independent RNG
     stream spawned from the seed, so results are reproducible bit-for-bit and
-    per-element values do not shift when others are recomputed.
+    per-element values do not shift when others are recomputed. A stream is
+    consumed in one fixed order: for each event with p > 0, in schedule
+    order, one uniform per shot (a CNOT then draws one fault code in 1..15
+    per shot); then the outcome draw, a random bit per shot and free direction
+    of the measurement distribution; then the readout uniforms, one row of
+    shots per support qubit in qubit order.
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")

@@ -194,6 +194,11 @@ class TestMalformedInput:
             (lambda c: c.update(n="q"), "n must be an integer"),
             (lambda c: c.update(placement=[0, 0]), "placement must be a list"),
             (lambda c: c.update(makespan_ns=335.5), "makespan_ns"),
+            (lambda c: c["gates"][0].update(end_ns=0), "gates[0].end_ns"),
+            (lambda c: c["gates"].append({"kind": "h", "wires": [1], "start_ns": 100, "end_ns": 135}),
+             "gates[3].start_ns 100 on qubit 1"),
+            (lambda c: c["gates"].reverse(), "gates[1].start_ns 0 on qubit 1"),
+            (lambda c: c.update(makespan_ns=300), "makespan_ns 300 is before"),
         ],
     )
     def test_bad_circuit_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gscompile.circuit import derive_circuit, naive_circuit
+from gscompile import sim
+from gscompile.circuit import circuit_from_json, derive_circuit, naive_circuit
 from gscompile.errors import CapExceededError, ValidationError
 from gscompile.graphs import (
     PauliString,
@@ -20,6 +21,9 @@ from gscompile.model import Objective, ObjectiveKind, build_model
 from gscompile.sim import (
     NoiseModel,
     Tableau,
+    _mitigation_weights,
+    _outcome_sampler,
+    _rotated_tableau,
     density_oracle,
     estimate_fidelity,
     expectation,
@@ -254,3 +258,136 @@ class TestDensityOracle:
         opt = density_oracle(compiled(g, cal), noise)
         nai = density_oracle(naive_circuit(g, e, cal), noise)
         assert opt >= nai
+
+
+# ---------------------------------------------------------------------------
+# Frame kernel pinned against a reference copy of its first form
+
+def reference_element_mc(c, noise, events, ideal_tab, element, shots, rng, mitigate):
+    """The per-element kernel in its first form: (shots, n) uint8 frames, each
+    event's gate then its noise, the basis change applied to the frames as
+    noiseless gates, then one readout draw per support qubit."""
+    n = c.n
+    b0, basis = _outcome_sampler(_rotated_tableau(ideal_tab, element))
+    fx = np.zeros((shots, n), dtype=np.uint8)
+    fz = np.zeros((shots, n), dtype=np.uint8)
+
+    def gate(kind, wires):
+        if kind == "h":
+            v = wires[0]
+            tmp = fx[:, v].copy()
+            fx[:, v] = fz[:, v]
+            fz[:, v] = tmp
+        elif kind == "sdg":
+            fz[:, wires[0]] ^= fx[:, wires[0]]
+        else:
+            cq, tq = wires
+            fx[:, tq] ^= fx[:, cq]
+            fz[:, cq] ^= fz[:, tq]
+
+    for kind, wires, p in events:
+        if kind != "idle":
+            gate(kind, wires)
+        if p <= 0:
+            continue
+        if kind == "idle":
+            fz[rng.random(shots) < p, wires[0]] ^= 1
+        elif kind == "h":
+            u = rng.random(shots)
+            fx[u < 2 * p / 3, wires[0]] ^= 1
+            fz[(u >= p / 3) & (u < p), wires[0]] ^= 1
+        else:
+            hit = rng.random(shots) < p
+            idx = np.where(hit, rng.integers(1, 16, size=shots), 0)
+            a, b = wires
+            for k, (frame, v) in enumerate(((fx, a), (fz, a), (fx, b), (fz, b))):
+                frame[:, v] ^= ((idx >> k) & 1).astype(np.uint8)
+    for v in range(n):  # basis change: H on X, S-dagger then H on Y
+        if (element.x_mask >> v) & 1:
+            if (element.z_mask >> v) & 1:
+                gate("sdg", (v,))
+            gate("h", (v,))
+
+    if basis.shape[0]:
+        u = rng.integers(0, 2, size=(shots, basis.shape[0]), dtype=np.uint8)
+        bits = (u @ basis) % 2 ^ b0
+    else:
+        bits = np.broadcast_to(b0, (shots, n)).copy()
+    bits ^= fx
+    parity = np.zeros(shots, dtype=np.uint8)
+    weights = np.ones(shots, dtype=np.float64)
+    for v in range(n):
+        if not (element.support() >> v) & 1:
+            continue
+        p01, p10 = noise.readout[c.placement[v]]
+        b = bits[:, v].astype(bool)
+        obs = b ^ (rng.random(shots) < np.where(b, p10, p01))
+        parity ^= obs
+        if mitigate:
+            w0, w1 = _mitigation_weights(p01, p10)
+            weights *= np.where(obs, w1, w0)
+    raw_vals = element.sign * (1.0 - 2.0 * parity.astype(np.float64))
+
+    def summarize(vals):
+        err = float(vals.std(ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
+        return float(vals.mean()), err
+
+    raw, err_raw = summarize(raw_vals)
+    mit, err_mit = summarize(element.sign * weights) if mitigate else (None, None)
+    return sim.ElementEstimate(element.label, raw, mit, err_raw, err_mit)
+
+
+NOISY = dict(sq_error=0.05, cx_error=0.2, coherence_us=0.5, p01=0.05, p10=0.08)
+
+
+def reference_circuit(name, form):
+    if form == "product":
+        # CNOT on |00> then H: the product state |+0>, so the XZ setting of the
+        # edge's stabilizer group has a deterministic outcome (empty basis).
+        return circuit_from_json({
+            "n": 2,
+            "placement": [0, 1],
+            "makespan_ns": 400,
+            "gates": [
+                {"kind": "cx", "wires": [0, 1], "start_ns": 0, "end_ns": 300},
+                {"kind": "h", "wires": [0], "start_ns": 300, "end_ns": 335},
+            ],
+        })
+    g = {"linear:3": linear_graph(3), "linear:4": linear_graph(4), "star:4": star_graph(4)}[name]
+    cal = graph_calibration(g)
+    return compiled(g, cal) if form == "compiled" else naive_circuit(g, identity_embedding(g), cal)
+
+
+class TestFrameKernelReference:
+    @pytest.mark.parametrize(
+        "name, form",
+        [(g, f) for g in ("linear:3", "linear:4", "star:4") for f in ("compiled", "naive")]
+        + [("linear:2", "product")],
+    )
+    @pytest.mark.parametrize("model", ["noiseless", "readout-only", "full"])
+    def test_bit_identical_to_reference(self, monkeypatch, name, form, model):
+        c = reference_circuit(name, form)
+        cal = graph_calibration(c.graph, **NOISY)
+        noise = {
+            "noiseless": NoiseModel.noiseless,  # every event has p = 0 and draws nothing
+            "readout-only": NoiseModel.readout_only,
+            "full": NoiseModel.from_calibration,
+        }[model](cal)
+        for mitigate in (False, True):
+            for shots in (1, 500):
+                got = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
+                with monkeypatch.context() as mp:
+                    mp.setattr(sim, "_element_mc", reference_element_mc)
+                    want = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
+                assert got == want
+
+    def test_cases_cover_y_and_empty_outcome_basis(self):
+        def settings(name, form):
+            c = reference_circuit(name, form)
+            tab = simulate_ideal(c)
+            for el in stabilizer_group(c.graph):
+                _, basis = _outcome_sampler(_rotated_tableau(tab, el))
+                yield el.label, basis.shape[0]
+
+        assert any("Y" in label for label, _ in settings("linear:3", "naive"))
+        assert any(free == 0 for _, free in settings("linear:2", "product"))
