@@ -217,6 +217,8 @@ def circuit_from_json(data: dict) -> TimedCircuit:
             )
         start = _int_field(g.get("start_ns"), f"gates[{k}].start_ns")
         end = _int_field(g.get("end_ns"), f"gates[{k}].end_ns")
+        if start < 0:
+            raise ValidationError(f"circuit file: gates[{k}].start_ns {start} is before time 0")
         gates.append(TimedGate(kind, tuple(wires), Fraction(start), Fraction(end)))
         if kind == "cx":
             u, v = inverse[wires[0]], inverse[wires[1]]

@@ -50,6 +50,7 @@ SCHEMA_VERSIONS = {
     "smtlib": "QF_LRA + maximize/minimize extension",
 }
 CALIBRATION_ENV = "GSCOMPILE_CALIBRATION"
+EXTERNAL_SOLVER_TIMEOUT_S = 600  # wall-clock limit of one --external-solver run
 
 _OBJECTIVES = {k.value: k for k in ObjectiveKind}
 
@@ -103,8 +104,10 @@ def _solve_external(m, command: str):
         path = f.name
     try:
         proc = subprocess.run(
-            shlex.split(command) + [path], capture_output=True, text=True
+            shlex.split(command) + [path], capture_output=True, text=True, timeout=EXTERNAL_SOLVER_TIMEOUT_S
         )
+    except subprocess.TimeoutExpired:
+        raise ExternalSolverError(f"external solver timed out after {EXTERNAL_SOLVER_TIMEOUT_S} s") from None
     finally:
         os.unlink(path)
     if proc.returncode not in (0, 1):  # some solvers exit 1 on sat

@@ -71,6 +71,18 @@ def random_calibration(g: GraphSpec, rng: random.Random, **kw) -> DeviceCalibrat
     )
 
 
+def straddling_calibration(g: GraphSpec, rng: random.Random) -> DeviceCalibration:
+    """Matching topology whose Hadamards (150-400 ns) outlast some CNOTs
+    (100-400 ns) but not all, with 1-3 us coherences."""
+    return make_calibration(
+        g.n,
+        g.sorted_edges(),
+        sq=lambda i: rng.randint(150, 400),
+        cnot=lambda a, b: (rng.randint(100, 400), rng.randint(100, 400)),
+        coherence_us=lambda i: rng.randint(1000, 3000) / 1000,
+    )
+
+
 @pytest.fixture
 def sym3():
     """Symmetric 3-qubit line: 35 ns Hadamards, 300 ns CNOTs both ways."""

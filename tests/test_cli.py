@@ -1,10 +1,13 @@
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
+from gscompile import cli
 from gscompile.cli import main
 from gscompile.device import save_calibration
 
@@ -199,6 +202,7 @@ class TestMalformedInput:
              "gates[3].start_ns 100 on qubit 1"),
             (lambda c: c["gates"].reverse(), "gates[1].start_ns 0 on qubit 1"),
             (lambda c: c.update(makespan_ns=300), "makespan_ns 300 is before"),
+            (lambda c: c["gates"][0].update(start_ns=-35, end_ns=0), "gates[0].start_ns -35 is before time 0"),
         ],
     )
     def test_bad_circuit_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):
@@ -241,6 +245,21 @@ class TestMalformedInput:
         assert code == 1
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert field in err and "Traceback" not in err
+
+
+class TestExternalSolver:
+    def test_timeout_exit_1(self, capsys, sym3_path, monkeypatch):
+        monkeypatch.setattr(cli, "EXTERNAL_SOLVER_TIMEOUT_S", 0.5)
+        hang = shlex.join([sys.executable, "-c", "import time; time.sleep(30)"])
+        start = time.monotonic()
+        code, _, err = run_main(
+            ["compile", "--graph", "linear:3", "--cal", sym3_path, "--external-solver", hang], capsys
+        )
+        assert time.monotonic() - start < 20
+        assert code == 1
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
+        assert "timed out after 0.5 s" in err and "Traceback" not in err
+
 
 class TestDeterminism:
     def test_repeat_invocations_bit_identical(self, tmp_path, capsys, sym3_path):

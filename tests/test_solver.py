@@ -13,7 +13,9 @@ from conftest import (
     graph_calibration,
     identity_embedding,
     line_calibration,
+    make_calibration,
     random_calibration,
+    straddling_calibration,
 )
 
 
@@ -121,6 +123,58 @@ class TestOracleAgreement:
                     where = (crosstalk_free, trial, kind)
                     assert s.objective_value == sweep[kind][0], where
                     assert check_solution(m, s) == [], where
+
+    def test_returns_oracle_witness(self):
+        # Ties go to the first optimal leaf in mask-ascending, lexicographic
+        # edge-order enumeration, as in the oracle: the whole assignment
+        # matches, not only the value.
+        rng = random.Random(321)
+        graphs = [linear_graph(3), linear_graph(4), star_graph(4), ring_graph(4), linear_graph(5)]
+        for trial in range(2 * len(graphs)):
+            g = graphs[trial % len(graphs)]
+            cal = random_calibration(g, rng)
+            for crosstalk_free in (False, True):
+                for kind in ObjectiveKind:
+                    m = build_model(g, identity_embedding(g), cal, Objective(kind, crosstalk_free))
+                    assert solve_exact(m).vars == oracle_search(m).vars, (trial, crosstalk_free, kind)
+
+    def test_matches_with_straddling_hadamards(self):
+        # Hadamards that outlast some CNOTs but not all: whether a wire can
+        # cancel depends on the directions of edges placed later, so the
+        # search has to carry both cancellation assumptions.
+        rng = random.Random(99)
+        graphs = [linear_graph(3), linear_graph(4), star_graph(4), ring_graph(4), linear_graph(5)]
+        for trial in range(2 * len(graphs)):
+            g = graphs[trial % len(graphs)]
+            cal = straddling_calibration(g, rng)
+            for crosstalk_free in (False, True):
+                for kind in ObjectiveKind:
+                    m = build_model(g, identity_embedding(g), cal, Objective(kind, crosstalk_free))
+                    s, o = solve_exact(m), oracle_search(m)
+                    where = (trial, crosstalk_free, kind)
+                    assert s.objective_value == o.objective_value, where
+                    assert s.vars == o.vars, where
+                    assert check_solution(m, s) == [], where
+
+    def test_decoherence_with_sub_ns_coherence(self):
+        # Coherences of 100000.5, 99999.75 and 100000.12 ns: the search runs
+        # on a time axis scaled by 100 and must agree with the oracle's
+        # Fraction arithmetic.
+        coherence = [100.0005, 99.99975, 100.00012, 100.0005]
+        for g in (linear_graph(3), linear_graph(4), star_graph(4)):
+            cal = make_calibration(
+                g.n,
+                g.sorted_edges(),
+                cnot=lambda a, b: (300 + 7 * a, 290 + 5 * b),
+                coherence_us=lambda i: coherence[i],
+            )
+            for crosstalk_free in (False, True):
+                m = build(g, cal, ObjectiveKind.MAX_REMAINING_COHERENCE, crosstalk_free)
+                s, o = solve_exact(m), oracle_search(m)
+                assert s.objective_value == o.objective_value
+                assert s.objective_value.denominator > 1
+                assert s.vars == o.vars
+                assert check_solution(m, s) == []
 
     def test_oracle_refuses_large_instances(self):
         g = linear_graph(8)  # 7 CNOTs > oracle cap 6
