@@ -9,6 +9,8 @@ CNOT plus pairing with an adjacent canceled partner).
 Every constraint is materialized as a small expression tree that is both
 evaluated exactly (check_solution) and serialized to SMT-LIB (emit_smtlib),
 so the built-in solver and an external optimizing solver see the same model.
+The atoms (variables, per-wire conditions) and the wire-order subtrees of the
+pairing constraints are built once per model and shared between constraints.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .device import DeviceCalibration, topology_graph
@@ -307,22 +311,6 @@ class SchedModel:
         return [g.id for g in self.gates if g.kind == "h"]
 
 
-def _S(gid: int) -> RVar:
-    return RVar(f"S_{gid}")
-
-
-def _T(gid: int) -> RVar:
-    return RVar(f"T_{gid}")
-
-
-def _C(i: int) -> BVar:
-    return BVar(f"C_{i}")
-
-
-def _B(gid: int) -> BVar:
-    return BVar(f"B_{gid}")
-
-
 def _const(v: Number) -> RConst:
     return RConst(Fraction(v))
 
@@ -394,93 +382,123 @@ def build_model(
     return model
 
 
-def _targets(m: SchedModel, i: int, q: int) -> Expr:
-    """Boolean condition: CNOT i targets physical qubit q."""
-    pa, pb, _, _ = m.cnot_info[i]
-    if q == pb:
-        return _C(i)
-    if q == pa:
-        return Not(_C(i))
-    return FALSE
+_OFF_WIRE = Not(FALSE)  # the term a gate off wire q adds to a wire-order conjunction
 
 
-def _onwire(m: SchedModel, gate: GateId, q: int) -> Expr:
-    if gate.kind == "cnot":
-        return TRUE if q in gate.qubits else FALSE
-    origin, _, arg = gate.origin.partition(":")
-    if origin == "prep":
-        return TRUE if m.prep_wire(int(arg)) == q else FALSE
-    return _targets(m, int(arg), q)
+class _Terms:
+    """The atoms of one model and the wire-order subtrees its constraints share.
+
+    One instance serves one _build_constraints (or emit_smtlib) call, so
+    nothing is shared between models.
+    """
+
+    def __init__(self, m: SchedModel):
+        self.S = [RVar(f"S_{gate.id}") for gate in m.gates]
+        self.T = [RVar(f"T_{gate.id}") for gate in m.gates]
+        self.C = [BVar(f"C_{i}") for i in range(m.num_cnots)]
+        self.B = {hid: BVar(f"B_{hid}") for hid in m.hadamard_ids()}
+        # live[gid]: the gate is not canceled (always, for a CNOT).
+        self.live = [Not(self.B[gate.id]) if gate.kind == "h" else TRUE for gate in m.gates]
+        # targets[i][q]: CNOT i targets wire q (C = True targets b).
+        self.targets = [
+            {pb: self.C[i], pa: Not(self.C[i])} for i, (pa, pb, _, _) in enumerate(m.cnot_info)
+        ]
+        # wires[gid][q]: gate gid acts on wire q; a wire it never touches is absent.
+        self.wires: List[Dict[int, Expr]] = []
+        for gate in m.gates:
+            origin, _, arg = gate.origin.partition(":")
+            if gate.kind == "cnot":
+                self.wires.append(dict.fromkeys(gate.qubits, TRUE))
+            elif origin == "prep":
+                self.wires.append({m.prep_wire(int(arg)): TRUE})
+            else:
+                self.wires.append(self.targets[int(arg)])
+        # cnots_on[q]: the CNOTs whose coupler touches wire q, ascending.
+        self.cnots_on: Dict[int, List[int]] = {}
+        for i, (pa, pb, _, _) in enumerate(m.cnot_info):
+            for q in (pa, pb):
+                self.cnots_on.setdefault(q, []).append(i)
+        # meets[i]: (j, q) for each CNOT j sharing wire q with CNOT i (i itself
+        # on both its wires), in ascending order.
+        self.meets = [
+            sorted((j, q) for q in (pa, pb) for j in self.cnots_on[q]) for pa, pb, _, _ in m.cnot_info
+        ]
+        self.before: Dict[Tuple[int, int], Expr] = {}
+        self.between: Dict[Tuple[int, int, int], Expr] = {}
 
 
-def _not_canceled(gate: GateId) -> Expr:
-    return Not(_B(gate.id)) if gate.kind == "h" else TRUE
+def _nonoverlap(t: _Terms, a: int, b: int) -> Expr:
+    return disj(Le(t.T[a], t.S[b]), Le(t.T[b], t.S[a]))
 
 
-def _nonoverlap(a: int, b: int) -> Expr:
-    return disj(Le(_T(a), _S(b)), Le(_T(b), _S(a)))
+def _none_before(t: _Terms, q: int, j: int) -> Expr:
+    """No non-canceled gate on wire q lies entirely before CNOT j starts.
+
+    Built once per (q, j) and model: pair-prep and pair-pre share the tree.
+    """
+    tree = t.before.get((q, j))
+    if tree is None:
+        terms = [
+            Not(conj(wires[q], t.live[gid], Le(t.T[gid], t.S[j]))) if q in wires else _OFF_WIRE
+            for gid, wires in enumerate(t.wires)
+            if gid != j
+        ]
+        tree = t.before[(q, j)] = conj(*terms)
+    return tree
 
 
-def _none_before(m: SchedModel, q: int, j: int) -> Expr:
-    """No non-canceled gate on wire q lies entirely before CNOT j starts."""
-    terms = []
-    for gate in m.gates:
-        if gate.kind == "cnot" and gate.id == j:
-            continue
-        terms.append(
-            Not(conj(_onwire(m, gate, q), _not_canceled(gate), Le(_T(gate.id), _S(j))))
-        )
-    return conj(*terms)
+def _none_between(t: _Terms, q: int, j1: int, j2: int) -> Expr:
+    """No non-canceled gate on wire q lies inside the gap between CNOTs j1, j2.
 
-
-def _none_between(m: SchedModel, q: int, j1: int, j2: int) -> Expr:
-    """No non-canceled gate on wire q lies inside the gap between CNOTs j1, j2."""
-    terms = []
-    for gate in m.gates:
-        if gate.kind == "cnot" and gate.id in (j1, j2):
-            continue
-        terms.append(
-            Not(
-                conj(
-                    _onwire(m, gate, q),
-                    _not_canceled(gate),
-                    Le(_T(j1), _S(gate.id)),
-                    Le(_T(gate.id), _S(j2)),
-                )
-            )
-        )
-    return conj(*terms)
+    Built once per (q, j1, j2) and model: pair-pre[j2] and pair-post[j1]
+    share the tree.
+    """
+    tree = t.between.get((q, j1, j2))
+    if tree is None:
+        terms = [
+            Not(conj(wires[q], t.live[gid], Le(t.T[j1], t.S[gid]), Le(t.T[gid], t.S[j2])))
+            if q in wires
+            else _OFF_WIRE
+            for gid, wires in enumerate(t.wires)
+            if gid != j1 and gid != j2
+        ]
+        tree = t.between[(q, j1, j2)] = conj(*terms)
+    return tree
 
 
 def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
     cons: List[Tuple[str, Expr]] = []
     g = m.graph
     mc = m.num_cnots
+    t = _Terms(m)
+    S, T, B, live, targets = t.S, t.T, t.B, t.live, t.targets
 
     # Domain: non-negative start times.
+    zero = _const(0)
     for gate in m.gates:
-        cons.append((f"domain[{gate.id}]", Le(_const(0), _S(gate.id))))
+        cons.append((f"domain[{gate.id}]", Le(zero, S[gate.id])))
 
     # constr-a: duration linkage, conditional on direction.
     for i, (pa, pb, dab, dba) in enumerate(m.cnot_info):
-        span = Sub(_T(i), _S(i))
+        c, not_c = targets[i][pb], targets[i][pa]  # C_i, (not C_i)
+        span = Sub(T[i], S[i])
         cons.append(
             (
                 f"constr-a[cnot {i}]",
                 conj(
-                    implies(_C(i), EqR(span, _const(dab))),
-                    implies(Not(_C(i)), EqR(span, _const(dba))),
+                    implies(c, EqR(span, _const(dab))),
+                    implies(not_c, EqR(span, _const(dba))),
                 ),
             )
         )
         for hid in (m.pre_id(i), m.post_id(i)):
-            span_h = Sub(_T(hid), _S(hid))
+            span_h = Sub(T[hid], S[hid])
             cons.append(
                 (
                     f"constr-a[h {hid}]",
                     conj(
-                        implies(_C(i), EqR(span_h, _const(m.sq_dur[pb]))),
-                        implies(Not(_C(i)), EqR(span_h, _const(m.sq_dur[pa]))),
+                        implies(c, EqR(span_h, _const(m.sq_dur[pb]))),
+                        implies(not_c, EqR(span_h, _const(m.sq_dur[pa]))),
                     ),
                 )
             )
@@ -489,112 +507,84 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
         cons.append(
             (
                 f"constr-a[h {pid}]",
-                EqR(Sub(_T(pid), _S(pid)), _const(m.sq_dur[m.prep_wire(v)])),
+                EqR(Sub(T[pid], S[pid]), _const(m.sq_dur[m.prep_wire(v)])),
             )
         )
 
     # constr-b / constr-c: sandwich ordering, waived for canceled Hadamards.
     for i in range(mc):
-        cons.append(
-            (f"constr-b[{i}]", implies(Not(_B(m.pre_id(i))), Le(_T(m.pre_id(i)), _S(i))))
-        )
-        cons.append(
-            (f"constr-c[{i}]", implies(Not(_B(m.post_id(i))), Le(_T(i), _S(m.post_id(i)))))
-        )
+        pre, post = m.pre_id(i), m.post_id(i)
+        cons.append((f"constr-b[{i}]", implies(live[pre], Le(T[pre], S[i]))))
+        cons.append((f"constr-c[{i}]", implies(live[post], Le(T[i], S[post]))))
 
     # prep-first: the initial |+> preparation precedes everything on its wire.
     for v in range(g.n):
         pid = m.prep_id(v)
         q = m.prep_wire(v)
-        for gate in m.gates:
-            if gate.id == pid:
+        for gid, wires in enumerate(t.wires):
+            if gid == pid or q not in wires:
                 continue
-            cond = conj(Not(_B(pid)), _not_canceled(gate), _onwire(m, gate, q))
-            if cond == FALSE:
-                continue
-            cons.append((f"prep-first[{pid},{gate.id}]", implies(cond, Le(_T(pid), _S(gate.id)))))
+            cond = conj(live[pid], live[gid], wires[q])
+            cons.append((f"prep-first[{pid},{gid}]", implies(cond, Le(T[pid], S[gid]))))
 
     # constr-d: disjunctive non-overlap for CNOTs sharing a same-role qubit.
     for i in range(mc):
-        for j in range(i + 1, mc):
-            shared = set(m.cnot_info[i][:2]) & set(m.cnot_info[j][:2])
-            for q in sorted(shared):
-                ti, tj = _targets(m, i, q), _targets(m, j, q)
-                same_role = disj(conj(ti, tj), conj(Not(ti), Not(tj)))
-                cons.append((f"constr-d[{i},{j}]", implies(same_role, _nonoverlap(i, j))))
+        for j, q in t.meets[i]:
+            if j <= i:
+                continue
+            ti, tj = targets[i][q], targets[j][q]
+            same_role = disj(conj(ti, tj), conj(Not(ti), Not(tj)))
+            cons.append((f"constr-d[{i},{j}]", implies(same_role, _nonoverlap(t, i, j))))
 
     # constr-e: a CNOT controlling q must stay clear of the whole Hadamard
     # sandwich of a CNOT targeting q.
     for i in range(mc):
-        for j in range(mc):
-            if i == j:
+        for j, q in t.meets[i]:
+            if j == i:
                 continue
-            shared = set(m.cnot_info[i][:2]) & set(m.cnot_info[j][:2])
-            for q in sorted(shared):
-                cond = conj(Not(_targets(m, i, q)), _targets(m, j, q))
-                if cond == FALSE:
-                    continue
-                pre_j, post_j = m.pre_id(j), m.post_id(j)
-                before = disj(
-                    conj(Not(_B(pre_j)), Le(_T(i), _S(pre_j))),
-                    conj(_B(pre_j), Le(_T(i), _S(j))),
-                )
-                after = disj(
-                    conj(Not(_B(post_j)), Le(_T(post_j), _S(i))),
-                    conj(_B(post_j), Le(_T(j), _S(i))),
-                )
-                cons.append((f"constr-e[{i},{j}]", implies(cond, disj(before, after))))
+            cond = conj(Not(targets[i][q]), targets[j][q])
+            pre_j, post_j = m.pre_id(j), m.post_id(j)
+            before = disj(
+                conj(live[pre_j], Le(T[i], S[pre_j])),
+                conj(B[pre_j], Le(T[i], S[j])),
+            )
+            after = disj(
+                conj(live[post_j], Le(T[post_j], S[i])),
+                conj(B[post_j], Le(T[j], S[i])),
+            )
+            cons.append((f"constr-e[{i},{j}]", implies(cond, disj(before, after))))
 
     # wire-excl: non-canceled gates sharing a wire never overlap. PREP pairs
     # are already ordered by prep-first; sandwich pairs of one CNOT by b/c.
-    hs = [gate for gate in m.gates if gate.kind == "h" and not gate.origin.startswith("prep")]
-    cnots = [gate for gate in m.gates if gate.kind == "cnot"]
-    for a_idx in range(len(hs)):
-        ga = hs[a_idx]
-        i = int(ga.origin.partition(":")[2])
-        for gb in hs[a_idx + 1:]:
-            j = int(gb.origin.partition(":")[2])
-            if i == j:
-                continue
-            shared = set(m.cnot_info[i][:2]) & set(m.cnot_info[j][:2])
-            for q in sorted(shared):
-                cond = conj(
-                    _onwire(m, ga, q), _onwire(m, gb, q), Not(_B(ga.id)), Not(_B(gb.id))
-                )
-                if cond == FALSE:
+    for i in range(mc):
+        for a in (m.pre_id(i), m.post_id(i)):
+            for j, q in t.meets[i]:
+                if j <= i:
                     continue
-                cons.append((f"wire-excl[{ga.id},{gb.id},{q}]", implies(cond, _nonoverlap(ga.id, gb.id))))
-        for gb in cnots:
-            j = gb.id
-            if i == j:
-                continue
-            shared = set(m.cnot_info[i][:2]) & set(m.cnot_info[j][:2])
-            for q in sorted(shared):
-                cond = conj(_onwire(m, ga, q), Not(_B(ga.id)))
-                if q not in gb.qubits or cond == FALSE:
+                for b in (m.pre_id(j), m.post_id(j)):
+                    cond = conj(targets[i][q], targets[j][q], live[a], live[b])
+                    cons.append((f"wire-excl[{a},{b},{q}]", implies(cond, _nonoverlap(t, a, b))))
+            for j, q in t.meets[i]:
+                if j == i:
                     continue
-                cons.append((f"wire-excl[{ga.id},{gb.id},{q}]", implies(cond, _nonoverlap(ga.id, gb.id))))
+                cond = conj(targets[i][q], live[a])
+                cons.append((f"wire-excl[{a},{j},{q}]", implies(cond, _nonoverlap(t, a, j))))
 
     # constr-f: a canceled Hadamard's window is contained in the window of a
     # CNOT targeting the same wire.
-    for gate in m.gates:
-        if gate.kind != "h":
-            continue
-        hid = gate.id
-        origin, _, arg = gate.origin.partition(":")
-        witnesses = []
-        for j in range(mc):
-            if origin == "prep":
-                q = m.prep_wire(int(arg))
-                wire_cond = _targets(m, j, q)
-            else:
-                i = int(arg)
-                shared = set(m.cnot_info[i][:2]) & set(m.cnot_info[j][:2])
-                wire_cond = disj(
-                    *(conj(_targets(m, i, q), _targets(m, j, q)) for q in sorted(shared))
-                )
-            witnesses.append(conj(wire_cond, Le(_S(j), _S(hid)), Le(_T(hid), _T(j))))
-        cons.append((f"constr-f[{hid}]", implies(_B(hid), disj(*witnesses))))
+    for hid in m.hadamard_ids():
+        origin, _, arg = m.gates[hid].origin.partition(":")
+        if origin == "prep":
+            q = m.prep_wire(int(arg))
+            wire_conds = [(j, targets[j][q]) for j in t.cnots_on.get(q, ())]
+        else:
+            i = int(arg)
+            wire_conds = [
+                (j, disj(*(conj(targets[i][q], targets[j][q]) for _, q in shared)))
+                for j, shared in groupby(t.meets[i], key=itemgetter(0))
+            ]
+        witnesses = [conj(cond, Le(S[j], S[hid]), Le(T[hid], T[j])) for j, cond in wire_conds]
+        cons.append((f"constr-f[{hid}]", implies(B[hid], disj(*witnesses))))
 
     # pair-*: canceled Hadamards must pair up adjacently on their wire:
     # PREP with the PRE of the wire's first targeting CNOT, or POST(f) with
@@ -604,47 +594,28 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
         pid = m.prep_id(v)
         q = m.prep_wire(v)
         options = [
-            conj(_targets(m, j, q), _B(m.pre_id(j)), _none_before(m, q, j))
-            for j in range(mc)
+            conj(targets[j][q], B[m.pre_id(j)], _none_before(t, q, j))
+            for j in t.cnots_on.get(q, ())
         ]
-        cons.append((f"pair-prep[{pid}]", implies(_B(pid), disj(*options))))
+        cons.append((f"pair-prep[{pid}]", implies(B[pid], disj(*options))))
     for i in range(mc):
         pre_opts = []
         for q in sorted(set(m.cnot_info[i][:2])):
             if q in prep_by_wire:
-                pre_opts.append(
-                    conj(_targets(m, i, q), _B(prep_by_wire[q]), _none_before(m, q, i))
-                )
+                pre_opts.append(conj(targets[i][q], B[prep_by_wire[q]], _none_before(t, q, i)))
         post_opts = []
-        for j in range(mc):
+        for j, q in t.meets[i]:
             if j == i:
                 continue
-            shared = set(m.cnot_info[i][:2]) & set(m.cnot_info[j][:2])
-            for q in sorted(shared):
-                pre_opts.append(
-                    conj(
-                        _targets(m, i, q),
-                        _targets(m, j, q),
-                        _B(m.post_id(j)),
-                        Le(_T(j), _S(i)),
-                        _none_between(m, q, j, i),
-                    )
-                )
-                post_opts.append(
-                    conj(
-                        _targets(m, i, q),
-                        _targets(m, j, q),
-                        _B(m.pre_id(j)),
-                        Le(_T(i), _S(j)),
-                        _none_between(m, q, i, j),
-                    )
-                )
-        cons.append((f"pair-pre[{i}]", implies(_B(m.pre_id(i)), disj(*pre_opts))))
-        cons.append((f"pair-post[{i}]", implies(_B(m.post_id(i)), disj(*post_opts))))
+            ti, tj = targets[i][q], targets[j][q]
+            pre_opts.append(conj(ti, tj, B[m.post_id(j)], Le(T[j], S[i]), _none_between(t, q, j, i)))
+            post_opts.append(conj(ti, tj, B[m.pre_id(j)], Le(T[i], S[j]), _none_between(t, q, i, j)))
+        cons.append((f"pair-pre[{i}]", implies(B[m.pre_id(i)], disj(*pre_opts))))
+        cons.append((f"pair-post[{i}]", implies(B[m.post_id(i)], disj(*post_opts))))
 
     # Optional crosstalk exclusion between adjacent two-qubit gates.
     for i, j in m.crosstalk_pairs:
-        cons.append((f"crosstalk[{i},{j}]", _nonoverlap(i, j)))
+        cons.append((f"crosstalk[{i},{j}]", _nonoverlap(t, i, j)))
 
     return cons
 
@@ -744,12 +715,13 @@ def emit_smtlib(m: SchedModel) -> str:
             lines.append(f"(assert (>= MAKESPAN T_{gate.id}))")
     if kind is ObjectiveKind.MAX_REMAINING_COHERENCE:
         lines.append("(declare-fun M_REM () Real)")
+        wires = _Terms(m).wires
         for q in m.mapped_qubits:
             lines.append(f"(declare-fun TQ_{q} () Real)")
             lines.append(f"(assert (>= TQ_{q} 0.0))")
-            for gate in m.gates:
-                cond = _onwire(m, gate, q)
-                if cond == FALSE:
+            for gate, gate_wires in zip(m.gates, wires):
+                cond = gate_wires.get(q)
+                if cond is None:
                     continue
                 body = f"(>= TQ_{q} T_{gate.id})"
                 if cond == TRUE:

@@ -28,7 +28,7 @@ import numpy as np
 from .circuit import TimedCircuit
 from .device import DeviceCalibration
 from .errors import CapExceededError, ValidationError
-from .graphs import PauliString, pauli_mul, stabilizer_group
+from .graphs import PauliString, _is_int, pauli_mul, stabilizer_group
 
 DENSITY_CAP = 5
 
@@ -444,6 +444,8 @@ def estimate_fidelity(
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
+    if not _is_int(seed) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     group = stabilizer_group(c.graph)
     ideal_tab = simulate_ideal(c)
     events = _event_stream(c, noise)

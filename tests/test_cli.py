@@ -224,6 +224,23 @@ class TestMalformedInput:
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert field in err and "Traceback" not in err
 
+    def test_negative_seed_exit_1(self, tmp_path, capsys, sym3_path):
+        circ = tmp_path / "c.json"
+        circ.write_text(json.dumps({
+            "n": 2,
+            "placement": [0, 1],
+            "makespan_ns": 335,
+            "gates": [
+                {"kind": "h", "wires": [0], "start_ns": 0, "end_ns": 35},
+                {"kind": "h", "wires": [1], "start_ns": 0, "end_ns": 35},
+                {"kind": "cx", "wires": [0, 1], "start_ns": 35, "end_ns": 335},
+            ],
+        }))
+        argv = ["simulate", "--circuit", str(circ), "--noise-from", sym3_path, "--seed", "-1"]
+        code, _, err = run_main(argv, capsys)
+        assert code == 1
+        assert err == "gscompile: seed must be a non-negative integer, got -1\n"
+
     @pytest.mark.parametrize(
         "edit, field",
         [

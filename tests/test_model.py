@@ -1,11 +1,14 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from gscompile.device import load_calibration, sample_calibration_path
 from gscompile.errors import ExternalSolverError, ValidationError
-from gscompile.graphs import linear_graph, star_graph
+from gscompile.graphs import builtin_graph, linear_graph, star_graph
 from gscompile.model import (
+    And,
+    Implies,
     Objective,
     ObjectiveKind,
     build_model,
@@ -126,6 +129,27 @@ class TestEmitSmtlib:
         text = emit_smtlib(build_model(g, e, sym3, Objective(ObjectiveKind.MIN_MAKESPAN)))
         assert "(minimize MAKESPAN)" in text and "M_REM" not in text
 
+    def test_golden_bytes(self):
+        # The emitted model is a public, byte-deterministic output: any change
+        # to these digests must be a deliberate one. The models are built back
+        # to back, so state leaking from one build into the next would show.
+        cal = load_calibration(sample_calibration_path())
+        cases = [
+            ("linear:8", ObjectiveKind.SMT_RUNTIME, True, 229,
+             "cd39d47eb9e4366e1e8fcd10feaf90fa38b621cea981dc9d71d2d6ea3497330f"),
+            ("fig1-seven", ObjectiveKind.MAX_REMAINING_COHERENCE, False, 213,
+             "6118cea69d46f7ca3867c599dae5bce8a3931ed7fbe1ce0f572a2c141d25217e"),
+            ("star:4", ObjectiveKind.MAX_CANCELLATION, False, 103,
+             "5cb11cc12f31a402f3351f1737752e5d524e05c1958ca378377a87287c347bbd"),
+            ("linear:11", ObjectiveKind.MIN_MAKESPAN, True, 331,
+             "28414dcce4c6f3b3ee12204f8280b5f44a339bf5694347fe232fbb043dca0427"),
+        ]
+        for name, kind, crosstalk, constraints, digest in cases:
+            g = builtin_graph(name)
+            m = build_model(g, best_placement(g, cal), cal, Objective(kind, crosstalk))
+            assert len(m.constraints) == constraints, name
+            assert hashlib.sha256(emit_smtlib(m).encode("utf-8")).hexdigest() == digest, name
+
     def test_every_constraint_asserted_with_label(self, sym3):
         g = linear_graph(3)
         m = build_model(g, identity_embedding(g), sym3, Objective(ObjectiveKind.MIN_MAKESPAN))
@@ -192,6 +216,45 @@ class TestParseExternalSolution:
             parse_external_solution(m, "")
         with pytest.raises(ExternalSolverError):
             parse_external_solution(m, "maybe\n(model)")
+
+
+def _options(expr):
+    """The And-options of a pair-* constraint's consequent."""
+    assert isinstance(expr, Implies)
+    body = expr.b
+    return [body] if isinstance(body, And) else [o for o in body.args if isinstance(o, And)]
+
+
+def test_wire_order_subtrees_are_shared():
+    # pair-prep and pair-pre hold the same "none before" tree, and pair-pre[i]
+    # and pair-post[j] the same "none between" tree: one object, built once.
+    g = star_graph(4)
+    cal = graph_calibration(g)
+    m = build_model(g, identity_embedding(g), cal, Objective(ObjectiveKind.MAX_CANCELLATION))
+    cons = dict(m.constraints)
+    prep_of = {m.prep_wire(v): m.prep_id(v) for v in range(g.n)}
+    before = between = 0
+    for j, (pa, pb, _, _) in enumerate(m.cnot_info):
+        pre_opts = _options(cons[f"pair-pre[{j}]"])
+        for q in (pa, pb):
+            # pair-pre[j]'s option for the prep of q, and pair-prep's for j
+            mine = [o for o in pre_opts if o.args[1].smt() == f"B_{prep_of[q]}"]
+            theirs = [o for o in _options(cons[f"pair-prep[{prep_of[q]}]"])
+                      if o.args[1].smt() == f"B_{m.pre_id(j)}"]
+            assert len(mine) == len(theirs) == 1
+            assert mine[0].args[2] is theirs[0].args[2]
+            before += 1
+        # pair-pre[j]'s option after CNOT i, and pair-post[i]'s before CNOT j
+        for i in range(m.num_cnots):
+            if i == j:
+                continue
+            mine = [o for o in pre_opts if o.args[2].smt() == f"B_{m.post_id(i)}"]
+            theirs = [o for o in _options(cons[f"pair-post[{i}]"]) if o.args[2].smt() == f"B_{m.pre_id(j)}"]
+            assert len(mine) == len(theirs)
+            for a, b in zip(mine, theirs):
+                assert a.args[4] is b.args[4]
+                between += 1
+    assert before == 2 * m.num_cnots and between == m.num_cnots * (m.num_cnots - 1)
 
 
 def test_star_targets_resolved_per_direction(sym3):
