@@ -4,6 +4,20 @@ The score is the product of gate fidelities touched by the embedding: one
 (1 - error) factor per mapped coupler and one per mapped qubit's single-qubit
 gate. Coherence and readout quality deliberately do not enter here; they are
 handled by the scheduler's objectives and the noise model.
+
+`best_placement` is a branch and bound over the `subiso` search tree. A
+partial embedding's `partial` (the factors of its mapped qubits and of the
+couplers with both ends mapped), times the best coupler factor per unmapped
+edge and the best qubit factor per unmapped vertex, bounds every completion;
+the subtree is dropped when that bound times (1 + 1e-9) is strictly below the
+incumbent's score. Every factor lies in [0, 1], so any ordering of a float
+product of k factors stays within about k * 2**-53 relative of the exact
+product, as long as it stays a normal float (above 2**-1022, far below any
+device's score). A dropped leaf therefore can neither beat nor tie the
+incumbent, and since the comparison is strict, a zero bound never drops
+leaves that tie a zero incumbent. Leaves are scored by the unchanged
+`score_embedding` under the unchanged tie rule (the higher score, then the
+smaller mapping tuple), so the result is the exhaustive maximum, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +28,9 @@ from typing import Iterator, Tuple
 from .device import DeviceCalibration, topology_graph
 from .errors import NotNativeError
 from .graphs import GraphSpec
-from .subiso import embeddings_iter
+from .subiso import SearchPlan, embeddings_iter
+
+_SLACK = 1.0 + 1e-9  # covers float rounding in products of up to ~10**6 factors
 
 
 @dataclass(frozen=True)
@@ -44,17 +60,41 @@ def score_embedding(e: Embedding, g: GraphSpec, cal: DeviceCalibration) -> float
 
 def best_placement(g: GraphSpec, cal: DeviceCalibration) -> Embedding:
     """Globally best-scoring embedding; ties break on the smaller mapping tuple."""
+    plan = SearchPlan(g.n, g.edges, topology_graph(cal))
+    qubit_f = {q.index: 1.0 - q.sq_error for q in cal.qubits}
+    coupler_f = {p: 1.0 - c.error for c in cal.couplers for p in ((c.a, c.b), (c.b, c.a))}
+    max_q = max(qubit_f.values(), default=0.0)
+    max_c = max(coupler_f.values(), default=0.0)
+    mapping = [-1] * g.n
+    used = set()
     best: Embedding | None = None
-    for e in enumerate_embeddings(g, cal):
-        scored = Embedding(e.mapping, score_embedding(e, g, cal))
-        if (
-            best is None
-            or scored.score > best.score
-            or (scored.score == best.score and scored.mapping < best.mapping)
-        ):
-            best = scored
+
+    def extend(i: int, partial: float, edges_left: int) -> None:
+        nonlocal best
+        if i == g.n:
+            leaf = tuple(mapping)
+            score = score_embedding(Embedding(leaf, 0.0), g, cal)
+            if best is None or score > best.score or (score == best.score and leaf < best.mapping):
+                best = Embedding(leaf, score)
+            return
+        v, back = plan.order[i], plan.back[i]
+        edges_left -= len(back)
+        rest = max_c**edges_left * max_q ** (g.n - i - 1)
+        options = []
+        for h in plan.candidates(i, mapping, used):
+            f = qubit_f[h]
+            for w in back:
+                f *= coupler_f[h, mapping[w]]
+            options.append((-f, h))
+        for neg_f, h in sorted(options):
+            if best is not None and partial * -neg_f * rest * _SLACK < best.score:
+                break  # options run in descending factor order: later bounds are no higher
+            mapping[v] = h
+            used.add(h)
+            extend(i + 1, partial * -neg_f, edges_left)
+            used.discard(h)
+
+    extend(0, 1.0, len(g.edges))
     if best is None:
-        raise NotNativeError(
-            f"graph with {g.n} vertices is not native to device '{cal.snapshot_label}'"
-        )
+        raise NotNativeError(f"graph with {g.n} vertices is not native to device '{cal.snapshot_label}'")
     return best

@@ -4,7 +4,7 @@ import pytest
 
 from gscompile.device import DeviceCalibration, calibration_from_json
 from gscompile.graphs import GraphSpec
-from gscompile.placement import Embedding
+from gscompile.placement import Embedding, enumerate_embeddings, score_embedding
 
 
 def make_calibration(
@@ -57,6 +57,16 @@ def graph_calibration(g: GraphSpec, **kw) -> DeviceCalibration:
 
 def identity_embedding(g: GraphSpec) -> Embedding:
     return Embedding(tuple(range(g.n)), 1.0)
+
+
+def reference_placement(g, cal):
+    """Exhaustive reference: the highest score_embedding over every
+    embedding, equal scores broken to the smallest mapping."""
+    scored = [
+        Embedding(e.mapping, score_embedding(e, g, cal))
+        for e in enumerate_embeddings(g, cal)
+    ]
+    return min(scored, key=lambda e: (-e.score, e.mapping))
 
 
 def random_calibration(g: GraphSpec, rng: random.Random, **kw) -> DeviceCalibration:

@@ -28,7 +28,13 @@ from gscompile.placement import best_placement, enumerate_embeddings, score_embe
 from gscompile.sim import NoiseModel, density_oracle, estimate_fidelity, expectation, simulate_ideal
 from gscompile.solver import solve_exact
 
-from conftest import graph_calibration, identity_embedding, line_calibration, random_calibration
+from conftest import (
+    graph_calibration,
+    identity_embedding,
+    line_calibration,
+    random_calibration,
+    reference_placement,
+)
 
 SAMPLE = load_calibration(sample_calibration_path())
 
@@ -310,7 +316,8 @@ def test_simulation_fidelity():
 
 
 def test_placement_exhaustive_maximum():
-    """best_placement score equals the brute-force maximum on the sample."""
+    """best_placement equals the brute-force maximum on the sample: the same
+    score and the same mapping, equal scores broken to the smallest mapping."""
     t0 = time.monotonic()
     graphs = [(f"linear:{n}", linear_graph(n)) for n in range(3, 9)]
     graphs.append(("fig1-seven", fig1_seven()))
@@ -320,10 +327,12 @@ def test_placement_exhaustive_maximum():
             score_embedding(e, g, SAMPLE) for e in enumerate_embeddings(g, SAMPLE)
         )
         assert best.score == maximum, f"{name}: {best.score} != {maximum}"
+        reference = reference_placement(g, SAMPLE)
+        assert best.mapping == reference.mapping, f"{name}: {best.mapping} != {reference.mapping}"
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s (budget 30s)"
     _report(
-        f"[PASS] placement: best_placement equals the exhaustive maximum for "
+        f"[PASS] placement: best_placement equals the exhaustive maximum (score and mapping) for "
         f"linear 3-8 and fig1-seven on the 27-qubit sample in {elapsed:.1f}s"
     )
 

@@ -1,9 +1,11 @@
 import json
+import os
 import shlex
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +170,15 @@ class TestMalformedInput:
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert field in err and "Traceback" not in err
 
+    def test_huge_n_graph_file_exit_1(self, tmp_path, capsys):
+        """Too few edges to connect n vertices is rejected before anything
+        of size n is built."""
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"n": 10**12, "edges": [[0, 1]]}))
+        code, _, err = run_main(["place", "--graph", str(gpath)], capsys)
+        assert code == 1
+        assert err.splitlines() == ["gscompile: graph must be connected"]
+
     def test_circuit_wire_outside_placement_exit_1(self, tmp_path, capsys, sym3_path):
         circ = tmp_path / "c.json"
         circ.write_text(json.dumps({
@@ -300,6 +311,17 @@ def test_console_script_installed():
     if exe is None:
         pytest.skip("console script not on PATH")
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "gscompile 0.1.0" in proc.stdout
+    assert "circuit=1" in proc.stdout
+
+
+def test_module_entry_point():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gscompile", "--version"], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0
     assert "gscompile 0.1.0" in proc.stdout
     assert "circuit=1" in proc.stdout
