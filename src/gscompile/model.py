@@ -9,18 +9,23 @@ CNOT plus pairing with an adjacent canceled partner).
 Every constraint is materialized as a small expression tree that is both
 evaluated exactly (check_solution) and serialized to SMT-LIB (emit_smtlib),
 so the built-in solver and an external optimizing solver see the same model.
-The atoms (variables, per-wire conditions) and the wire-order subtrees of the
-pairing constraints are built once per model and shared between constraints.
+The trees have three shapes (a variable, a binary operator, an n-ary and/or)
+besides constants and negation, and their nodes compare by identity. The
+atoms (variables, per-wire conditions) and the wire-order subtrees of the
+pairing constraints are built once per model and shared between constraints;
+a wire-order conjunction has one conjunct per gate that may act on the wire,
+and none for the gates that never do.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import eq, itemgetter, le, sub
+from typing import Callable, ClassVar, Dict, Iterable, List, Sequence, Tuple, Union
 
 from .device import DeviceCalibration, topology_graph
 from .errors import ExternalSolverError, ValidationError
@@ -51,8 +56,11 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class RVar(Expr):
+# Nodes compare by identity (eq=False): the folds test the TRUE/FALSE
+# singletons with `is`, and nothing hashes or compares expressions by value.
+
+@dataclass(frozen=True, eq=False)
+class Var(Expr):
     name: str
 
     def eval(self, env):
@@ -62,80 +70,24 @@ class RVar(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
-class RConst(Expr):
-    value: Fraction
+@dataclass(frozen=True, eq=False)
+class Const(Expr):
+    value: Union[bool, Fraction]
 
     def eval(self, env):
         return self.value
 
     def smt(self):
+        if isinstance(self.value, bool):
+            return "true" if self.value else "false"
         return _smt_num(self.value)
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
-    def eval(self, env):
-        return self.a.eval(env) - self.b.eval(env)
-
-    def smt(self):
-        return f"(- {self.a.smt()} {self.b.smt()})"
+TRUE = Const(True)
+FALSE = Const(False)
 
 
-@dataclass(frozen=True)
-class Le(Expr):
-    a: Expr
-    b: Expr
-
-    def eval(self, env):
-        return self.a.eval(env) <= self.b.eval(env)
-
-    def smt(self):
-        return f"(<= {self.a.smt()} {self.b.smt()})"
-
-
-@dataclass(frozen=True)
-class EqR(Expr):
-    a: Expr
-    b: Expr
-
-    def eval(self, env):
-        return self.a.eval(env) == self.b.eval(env)
-
-    def smt(self):
-        return f"(= {self.a.smt()} {self.b.smt()})"
-
-
-@dataclass(frozen=True)
-class BVar(Expr):
-    name: str
-
-    def eval(self, env):
-        return env[self.name]
-
-    def smt(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class BConst(Expr):
-    value: bool
-
-    def eval(self, env):
-        return self.value
-
-    def smt(self):
-        return "true" if self.value else "false"
-
-
-TRUE = BConst(True)
-FALSE = BConst(False)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Expr):
     a: Expr
 
@@ -146,86 +98,89 @@ class Not(Expr):
         return f"(not {self.a.smt()})"
 
 
-def _flat(args: Sequence[Expr], drop: Expr, short: Expr) -> Optional[List[Expr]]:
-    out = []
+@dataclass(frozen=True, eq=False)
+class Binary(Expr):
+    """``(head a b)``, evaluated as ``op(a, b)``."""
+
+    a: Expr
+    b: Expr
+    head: ClassVar[str]
+    op: ClassVar[Callable[[object, object], object]]
+
+    def eval(self, env):
+        return self.op(self.a.eval(env), self.b.eval(env))
+
+    def smt(self):
+        return f"({self.head} {self.a.smt()} {self.b.smt()})"
+
+
+class Sub(Binary):
+    head, op = "-", sub
+
+
+class Le(Binary):
+    head, op = "<=", le
+
+
+class EqR(Binary):
+    head, op = "=", eq
+
+
+class Implies(Binary):
+    head = "=>"
+
+    def eval(self, env):
+        return not self.a.eval(env) or self.b.eval(env)
+
+
+@dataclass(frozen=True, eq=False)
+class Nary(Expr):
+    """``(head args...)`` over at least two args, evaluated by ``op``."""
+
+    args: Tuple[Expr, ...]
+    head: ClassVar[str]
+    op: ClassVar[Callable[[Iterable[object]], bool]]
+
+    def eval(self, env):
+        return self.op(a.eval(env) for a in self.args)
+
+    def smt(self):
+        return f"({self.head} " + " ".join(a.smt() for a in self.args) + ")"
+
+
+class And(Nary):
+    head, op = "and", all
+
+
+class Or(Nary):
+    head, op = "or", any
+
+
+def _fold(node: type, unit: Expr, zero: Expr, args: Sequence[Expr]) -> Expr:
+    """``node(args)`` without the units; ``zero`` if any arg is ``zero``."""
+    kept = []
     for a in args:
-        if a == short:
-            return None
-        if a != drop:
-            out.append(a)
-    return out
-
-
-@dataclass(frozen=True)
-class And(Expr):
-    args: Tuple[Expr, ...]
-
-    def eval(self, env):
-        return all(a.eval(env) for a in self.args)
-
-    def smt(self):
-        if not self.args:
-            return "true"
-        if len(self.args) == 1:
-            return self.args[0].smt()
-        return "(and " + " ".join(a.smt() for a in self.args) + ")"
-
-
-@dataclass(frozen=True)
-class Or(Expr):
-    args: Tuple[Expr, ...]
-
-    def eval(self, env):
-        return any(a.eval(env) for a in self.args)
-
-    def smt(self):
-        if not self.args:
-            return "false"
-        if len(self.args) == 1:
-            return self.args[0].smt()
-        return "(or " + " ".join(a.smt() for a in self.args) + ")"
+        if a is zero:
+            return zero
+        if a is not unit:
+            kept.append(a)
+    if len(kept) > 1:
+        return node(tuple(kept))
+    return kept[0] if kept else unit
 
 
 def conj(*args: Expr) -> Expr:
-    flat = _flat(args, TRUE, FALSE)
-    if flat is None:
-        return FALSE
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _fold(And, TRUE, FALSE, args)
 
 
 def disj(*args: Expr) -> Expr:
-    flat = _flat(args, FALSE, TRUE)
-    if flat is None:
-        return TRUE
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
-
-
-@dataclass(frozen=True)
-class Implies(Expr):
-    a: Expr
-    b: Expr
-
-    def eval(self, env):
-        return (not self.a.eval(env)) or self.b.eval(env)
-
-    def smt(self):
-        return f"(=> {self.a.smt()} {self.b.smt()})"
+    return _fold(Or, FALSE, TRUE, args)
 
 
 def implies(a: Expr, b: Expr) -> Expr:
-    if a == FALSE or b == TRUE:
+    if a is FALSE or b is TRUE:
         return TRUE
-    if a == TRUE:
-        return b
-    return Implies(a, b)
+    return b if a is TRUE else Implies(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +205,15 @@ class GateId:
 
     For CNOTs, ``qubits`` is the placed coupler's (a, b) endpoint pair; the
     direction boolean C picks the control (True: control = a). For sandwich
-    Hadamards (origin pre:/post:), ``qubits`` holds the wire under C = True;
+    Hadamards (role pre/post), ``qubits`` holds the wire under C = True;
     the effective wire tracks the resolved direction.
     """
 
     kind: str  # "cnot" | "h"
     id: int
     qubits: Tuple[int, ...]
-    origin: str  # "edge:i", "prep:v", "pre:i", "post:i"
+    role: str  # "edge" | "prep" | "pre" | "post"
+    of: int  # the CNOT index (edge, pre, post) or the vertex (prep)
 
 
 @dataclass
@@ -311,8 +267,8 @@ class SchedModel:
         return [g.id for g in self.gates if g.kind == "h"]
 
 
-def _const(v: Number) -> RConst:
-    return RConst(Fraction(v))
+def _const(v: Number) -> Const:
+    return Const(Fraction(v))
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +302,13 @@ def build_model(
 
     m_cnots = len(edges)
     gates: List[GateId] = []
-    for i, (u, v) in enumerate(edges):
-        pa, pb, _, _ = cnot_info[i]
-        gates.append(GateId("cnot", i, (pa, pb), f"edge:{u}-{v}"))
+    for i, (pa, pb, _, _) in enumerate(cnot_info):
+        gates.append(GateId("cnot", i, (pa, pb), "edge", i))
     for v in range(g.n):
-        gates.append(GateId("h", m_cnots + v, (e.mapping[v],), f"prep:{v}"))
-    for i in range(m_cnots):
-        pb = cnot_info[i][1]
-        gates.append(GateId("h", m_cnots + g.n + 2 * i, (pb,), f"pre:{i}"))
-        gates.append(GateId("h", m_cnots + g.n + 2 * i + 1, (pb,), f"post:{i}"))
+        gates.append(GateId("h", m_cnots + v, (e.mapping[v],), "prep", v))
+    for i, (_, pb, _, _) in enumerate(cnot_info):
+        gates.append(GateId("h", m_cnots + g.n + 2 * i, (pb,), "pre", i))
+        gates.append(GateId("h", m_cnots + g.n + 2 * i + 1, (pb,), "post", i))
 
     crosstalk_pairs: List[Tuple[int, int]] = []
     if obj.crosstalk_free:
@@ -382,9 +336,6 @@ def build_model(
     return model
 
 
-_OFF_WIRE = Not(FALSE)  # the term a gate off wire q adds to a wire-order conjunction
-
-
 class _Terms:
     """The atoms of one model and the wire-order subtrees its constraints share.
 
@@ -393,10 +344,10 @@ class _Terms:
     """
 
     def __init__(self, m: SchedModel):
-        self.S = [RVar(f"S_{gate.id}") for gate in m.gates]
-        self.T = [RVar(f"T_{gate.id}") for gate in m.gates]
-        self.C = [BVar(f"C_{i}") for i in range(m.num_cnots)]
-        self.B = {hid: BVar(f"B_{hid}") for hid in m.hadamard_ids()}
+        self.S = [Var(f"S_{gate.id}") for gate in m.gates]
+        self.T = [Var(f"T_{gate.id}") for gate in m.gates]
+        self.C = [Var(f"C_{i}") for i in range(m.num_cnots)]
+        self.B = {hid: Var(f"B_{hid}") for hid in m.hadamard_ids()}
         # live[gid]: the gate is not canceled (always, for a CNOT).
         self.live = [Not(self.B[gate.id]) if gate.kind == "h" else TRUE for gate in m.gates]
         # targets[i][q]: CNOT i targets wire q (C = True targets b).
@@ -404,20 +355,17 @@ class _Terms:
             {pb: self.C[i], pa: Not(self.C[i])} for i, (pa, pb, _, _) in enumerate(m.cnot_info)
         ]
         # wires[gid][q]: gate gid acts on wire q; a wire it never touches is absent.
-        self.wires: List[Dict[int, Expr]] = []
-        for gate in m.gates:
-            origin, _, arg = gate.origin.partition(":")
-            if gate.kind == "cnot":
-                self.wires.append(dict.fromkeys(gate.qubits, TRUE))
-            elif origin == "prep":
-                self.wires.append({m.prep_wire(int(arg)): TRUE})
-            else:
-                self.wires.append(self.targets[int(arg)])
-        # cnots_on[q]: the CNOTs whose coupler touches wire q, ascending.
-        self.cnots_on: Dict[int, List[int]] = {}
-        for i, (pa, pb, _, _) in enumerate(m.cnot_info):
-            for q in (pa, pb):
-                self.cnots_on.setdefault(q, []).append(i)
+        self.wires: List[Dict[int, Expr]] = [
+            self.targets[gate.of] if gate.role in ("pre", "post") else dict.fromkeys(gate.qubits, TRUE)
+            for gate in m.gates
+        ]
+        # on_wire[q]: the gates that may act on wire q, ascending; cnots_on[q]:
+        # the CNOTs among them (those whose coupler touches q).
+        self.on_wire: Dict[int, List[int]] = {}
+        for gid, wires in enumerate(self.wires):
+            for q in wires:
+                self.on_wire.setdefault(q, []).append(gid)
+        self.cnots_on = {q: [gid for gid in gids if gid < m.num_cnots] for q, gids in self.on_wire.items()}
         # meets[i]: (j, q) for each CNOT j sharing wire q with CNOT i (i itself
         # on both its wires), in ascending order.
         self.meets = [
@@ -434,13 +382,15 @@ def _nonoverlap(t: _Terms, a: int, b: int) -> Expr:
 def _none_before(t: _Terms, q: int, j: int) -> Expr:
     """No non-canceled gate on wire q lies entirely before CNOT j starts.
 
-    Built once per (q, j) and model: pair-prep and pair-pre share the tree.
+    One conjunct per gate that may act on q (other than j), in gate order;
+    q's own prep is one of them, so the conjunction is never empty. Built
+    once per (q, j) and model: pair-prep and pair-pre share the tree.
     """
     tree = t.before.get((q, j))
     if tree is None:
         terms = [
-            Not(conj(wires[q], t.live[gid], Le(t.T[gid], t.S[j]))) if q in wires else _OFF_WIRE
-            for gid, wires in enumerate(t.wires)
+            Not(conj(t.wires[gid][q], t.live[gid], Le(t.T[gid], t.S[j])))
+            for gid in t.on_wire[q]
             if gid != j
         ]
         tree = t.before[(q, j)] = conj(*terms)
@@ -450,16 +400,15 @@ def _none_before(t: _Terms, q: int, j: int) -> Expr:
 def _none_between(t: _Terms, q: int, j1: int, j2: int) -> Expr:
     """No non-canceled gate on wire q lies inside the gap between CNOTs j1, j2.
 
-    Built once per (q, j1, j2) and model: pair-pre[j2] and pair-post[j1]
-    share the tree.
+    One conjunct per gate that may act on q (other than j1, j2), in gate
+    order; q's prep is one of them. Built once per (q, j1, j2) and model:
+    pair-pre[j2] and pair-post[j1] share the tree.
     """
     tree = t.between.get((q, j1, j2))
     if tree is None:
         terms = [
-            Not(conj(wires[q], t.live[gid], Le(t.T[j1], t.S[gid]), Le(t.T[gid], t.S[j2])))
-            if q in wires
-            else _OFF_WIRE
-            for gid, wires in enumerate(t.wires)
+            Not(conj(t.wires[gid][q], t.live[gid], Le(t.T[j1], t.S[gid]), Le(t.T[gid], t.S[j2])))
+            for gid in t.on_wire[q]
             if gid != j1 and gid != j2
         ]
         tree = t.between[(q, j1, j2)] = conj(*terms)
@@ -521,10 +470,10 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
     for v in range(g.n):
         pid = m.prep_id(v)
         q = m.prep_wire(v)
-        for gid, wires in enumerate(t.wires):
-            if gid == pid or q not in wires:
+        for gid in t.on_wire[q]:
+            if gid == pid:
                 continue
-            cond = conj(live[pid], live[gid], wires[q])
+            cond = conj(live[pid], live[gid], t.wires[gid][q])
             cons.append((f"prep-first[{pid},{gid}]", implies(cond, Le(T[pid], S[gid]))))
 
     # constr-d: disjunctive non-overlap for CNOTs sharing a same-role qubit.
@@ -573,12 +522,12 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
     # constr-f: a canceled Hadamard's window is contained in the window of a
     # CNOT targeting the same wire.
     for hid in m.hadamard_ids():
-        origin, _, arg = m.gates[hid].origin.partition(":")
-        if origin == "prep":
-            q = m.prep_wire(int(arg))
-            wire_conds = [(j, targets[j][q]) for j in t.cnots_on.get(q, ())]
+        gate = m.gates[hid]
+        if gate.role == "prep":
+            q = gate.qubits[0]
+            wire_conds = [(j, targets[j][q]) for j in t.cnots_on[q]]
         else:
-            i = int(arg)
+            i = gate.of
             wire_conds = [
                 (j, disj(*(conj(targets[i][q], targets[j][q]) for _, q in shared)))
                 for j, shared in groupby(t.meets[i], key=itemgetter(0))
@@ -595,7 +544,7 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
         q = m.prep_wire(v)
         options = [
             conj(targets[j][q], B[m.pre_id(j)], _none_before(t, q, j))
-            for j in t.cnots_on.get(q, ())
+            for j in t.cnots_on[q]
         ]
         cons.append((f"pair-prep[{pid}]", implies(B[pid], disj(*options))))
     for i in range(mc):
@@ -643,14 +592,10 @@ def check_solution(m: SchedModel, s: Solution) -> List[str]:
 
 def resolved_wires(m: SchedModel, gate: GateId, c_bits: Dict[int, bool]) -> Tuple[int, ...]:
     """Physical wires of a gate once directions are fixed."""
-    if gate.kind == "cnot":
-        return gate.qubits
-    origin, _, arg = gate.origin.partition(":")
-    if origin == "prep":
-        return (m.prep_wire(int(arg)),)
-    i = int(arg)
-    pa, pb, _, _ = m.cnot_info[i]
-    return (pb if c_bits[i] else pa,)
+    if gate.role in ("pre", "post"):
+        pa, pb, _, _ = m.cnot_info[gate.of]
+        return (pb if c_bits[gate.of] else pa,)
+    return gate.qubits
 
 
 def canceled_count(m: SchedModel, vars: ModelVars) -> int:
@@ -715,16 +660,14 @@ def emit_smtlib(m: SchedModel) -> str:
             lines.append(f"(assert (>= MAKESPAN T_{gate.id}))")
     if kind is ObjectiveKind.MAX_REMAINING_COHERENCE:
         lines.append("(declare-fun M_REM () Real)")
-        wires = _Terms(m).wires
+        t = _Terms(m)
         for q in m.mapped_qubits:
             lines.append(f"(declare-fun TQ_{q} () Real)")
             lines.append(f"(assert (>= TQ_{q} 0.0))")
-            for gate, gate_wires in zip(m.gates, wires):
-                cond = gate_wires.get(q)
-                if cond is None:
-                    continue
-                body = f"(>= TQ_{q} T_{gate.id})"
-                if cond == TRUE:
+            for gid in t.on_wire[q]:
+                cond = t.wires[gid][q]
+                body = f"(>= TQ_{q} T_{gid})"
+                if cond is TRUE:
                     lines.append(f"(assert {body})")
                 else:
                     lines.append(f"(assert (=> {cond.smt()} {body}))")
@@ -750,62 +693,55 @@ def emit_smtlib(m: SchedModel) -> str:
 # ---------------------------------------------------------------------------
 # External solver output parsing
 
-def _tokenize(text: str) -> List[str]:
-    out: List[str] = []
-    tok = []
-    for ch in text:
-        if ch in "()":
-            if tok:
-                out.append("".join(tok))
-                tok = []
-            out.append(ch)
-        elif ch.isspace():
-            if tok:
-                out.append("".join(tok))
-                tok = []
+_MAX_NESTING = 64  # far deeper than any model listing; bounds the recursive readers below
+
+
+def _parse_sexprs(tokens: List[str]) -> list:
+    stack: List[list] = [[]]
+    for tok in tokens:
+        if tok == "(":
+            stack.append([])
+            if len(stack) > _MAX_NESTING:
+                raise ExternalSolverError(f"solver output nests deeper than {_MAX_NESTING} levels")
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif len(stack) > 1:
+            stack[-2].append(stack.pop())
         else:
-            tok.append(ch)
-    if tok:
-        out.append("".join(tok))
-    return out
+            raise ExternalSolverError("unbalanced parentheses in solver output")
+    if len(stack) > 1:
+        raise ExternalSolverError("unbalanced parentheses in solver output")
+    return stack[0]
 
 
-def _parse_sexprs(tokens: List[str]):
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if tokens[pos] == "(":
-            pos += 1
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(parse())
-            if pos >= len(tokens):
-                raise ExternalSolverError("unbalanced parentheses in solver output")
-            pos += 1
-            return items
-        atom = tokens[pos]
-        pos += 1
-        return atom
-
-    exprs = []
-    while pos < len(tokens):
-        exprs.append(parse())
-    return exprs
-
-
-def _value_of(sexpr) -> object:
+def _number(sexpr) -> Fraction:
     if isinstance(sexpr, str):
-        if sexpr == "true":
-            return True
-        if sexpr == "false":
-            return False
         return Fraction(sexpr)
-    if sexpr and sexpr[0] == "-" and len(sexpr) == 2:
-        return -_value_of(sexpr[1])
-    if sexpr and sexpr[0] == "/" and len(sexpr) == 3:
-        return _value_of(sexpr[1]) / _value_of(sexpr[2])
-    raise ExternalSolverError(f"cannot interpret solver value {sexpr!r}")
+    if len(sexpr) == 2 and sexpr[0] == "-":
+        return -_number(sexpr[1])
+    if len(sexpr) == 3 and sexpr[0] == "/":
+        return _number(sexpr[1]) / _number(sexpr[2])
+    raise ValueError(sexpr)
+
+
+def _value_of(bindings: Dict[str, object], name: str, sort: str):
+    """The value the solver bound to ``name``, checked against its sort."""
+    if name not in bindings:
+        raise ExternalSolverError(f"solver output is missing variable {name}")
+    sexpr = bindings[name]
+    if sort == "Bool":
+        if sexpr in ("true", "false"):
+            return sexpr == "true"
+    else:
+        try:
+            return _number(sexpr)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ExternalSolverError(f"solver output binds {name} to {_sexpr_text(sexpr)}, not a {sort} value")
+
+
+def _sexpr_text(sexpr) -> str:
+    return sexpr if isinstance(sexpr, str) else "(" + " ".join(map(_sexpr_text, sexpr)) + ")"
 
 
 def parse_external_solution(m: SchedModel, solver_output: str) -> Solution:
@@ -825,34 +761,24 @@ def parse_external_solution(m: SchedModel, solver_output: str) -> Solution:
 
     body = "\n".join(stripped[1:])
     bindings: Dict[str, object] = {}
-    for item in _parse_sexprs(_tokenize(body)):
+    for item in _parse_sexprs(re.findall(r"[()]|[^\s()]+", body)):
         stack = [item]
         while stack:
             node = stack.pop()
             if isinstance(node, list):
-                if len(node) >= 5 and node[0] == "define-fun":
-                    name = node[1]
-                    bindings[name] = _value_of(node[-1])
+                if len(node) >= 5 and node[0] == "define-fun" and isinstance(node[1], str):
+                    bindings[node[1]] = node[-1]
                 else:
                     stack.extend(x for x in node if isinstance(x, list))
 
     vars = ModelVars(C={}, S={}, T={}, B={})
     for i in range(m.num_cnots):
-        key = f"C_{i}"
-        if key not in bindings:
-            raise ExternalSolverError(f"solver output is missing variable {key}")
-        vars.C[i] = bool(bindings[key])
+        vars.C[i] = _value_of(bindings, f"C_{i}", "Bool")
     for gate in m.gates:
-        for prefix, store in (("S", vars.S), ("T", vars.T)):
-            key = f"{prefix}_{gate.id}"
-            if key not in bindings:
-                raise ExternalSolverError(f"solver output is missing variable {key}")
-            store[gate.id] = Fraction(bindings[key])
+        vars.S[gate.id] = _value_of(bindings, f"S_{gate.id}", "Real")
+        vars.T[gate.id] = _value_of(bindings, f"T_{gate.id}", "Real")
         if gate.kind == "h":
-            key = f"B_{gate.id}"
-            if key not in bindings:
-                raise ExternalSolverError(f"solver output is missing variable {key}")
-            vars.B[gate.id] = bool(bindings[key])
+            vars.B[gate.id] = _value_of(bindings, f"B_{gate.id}", "Bool")
 
     return Solution(
         vars=vars,

@@ -288,6 +288,27 @@ class TestExternalSolver:
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert "timed out after 0.5 s" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "bindings, named",
+        [
+            ("C_0 Bool true, C_1 Bool true, S_0 Real (/ 1.0 0.0)", "S_0 to (/ 1.0 0.0), not a Real"),
+            ("C_0 Bool true, C_1 Bool true, S_0 Real abc", "S_0 to abc, not a Real"),
+            ("C_0 Bool 0.0", "C_0 to 0.0, not a Bool"),
+            ("C_0 Bool true, C_1 Bool false, S_0 Real true", "S_0 to true, not a Real"),
+        ],
+    )
+    def test_malformed_value_exit_1(self, capsys, sym3_path, bindings, named):
+        # A fake solver prints a model whose last binding is malformed.
+        defs = [b.split(" ", 2) for b in bindings.split(", ")]
+        listing = "sat\n(" + " ".join(f"(define-fun {n} () {sort} {v})" for n, sort, v in defs) + ")"
+        fake = shlex.join([sys.executable, "-c", f"print({listing!r})"])
+        code, _, err = run_main(
+            ["compile", "--graph", "linear:3", "--cal", sym3_path, "--external-solver", fake], capsys
+        )
+        assert code == 1
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
+        assert named in err and "Traceback" not in err
+
 
 class TestDeterminism:
     def test_repeat_invocations_bit_identical(self, tmp_path, capsys, sym3_path):

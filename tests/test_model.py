@@ -7,10 +7,21 @@ from gscompile.device import load_calibration, sample_calibration_path
 from gscompile.errors import ExternalSolverError, ValidationError
 from gscompile.graphs import builtin_graph, linear_graph, star_graph
 from gscompile.model import (
+    FALSE,
+    TRUE,
     And,
+    GateId,
     Implies,
+    Le,
+    ModelVars,
+    Not,
     Objective,
     ObjectiveKind,
+    Or,
+    Var,
+    conj,
+    disj,
+    implies,
     build_model,
     canceled_count,
     check_solution,
@@ -136,19 +147,25 @@ class TestEmitSmtlib:
         cal = load_calibration(sample_calibration_path())
         cases = [
             ("linear:8", ObjectiveKind.SMT_RUNTIME, True, 229,
-             "cd39d47eb9e4366e1e8fcd10feaf90fa38b621cea981dc9d71d2d6ea3497330f"),
+             "0b616a9b237cb3a540ec7a0d6cf2194e08316d981e3825328422ede713f4c367"),
             ("fig1-seven", ObjectiveKind.MAX_REMAINING_COHERENCE, False, 213,
-             "6118cea69d46f7ca3867c599dae5bce8a3931ed7fbe1ce0f572a2c141d25217e"),
+             "323e92c2307fb44a05266d0f9cc7c3b74b81fba5a3228f69e8ed1db526251432"),
             ("star:4", ObjectiveKind.MAX_CANCELLATION, False, 103,
-             "5cb11cc12f31a402f3351f1737752e5d524e05c1958ca378377a87287c347bbd"),
+             "684b3e8e8bfdeef9fdbecaf46ac621a9dd15acefbb88f8dae711974b89ef7021"),
             ("linear:11", ObjectiveKind.MIN_MAKESPAN, True, 331,
-             "28414dcce4c6f3b3ee12204f8280b5f44a339bf5694347fe232fbb043dca0427"),
+             "f0d485ae87cc8de4f6f7a2379032158ccfd68a7a3fb45396c186215017bc3bc6"),
         ]
         for name, kind, crosstalk, constraints, digest in cases:
             g = builtin_graph(name)
             m = build_model(g, best_placement(g, cal), cal, Objective(kind, crosstalk))
             assert len(m.constraints) == constraints, name
-            assert hashlib.sha256(emit_smtlib(m).encode("utf-8")).hexdigest() == digest, name
+            text = emit_smtlib(m)
+            assert "(not false)" not in text, name
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, name
+            # The folds leave no 0- or 1-argument conjunction or disjunction.
+            for node in _subtrees(expr for _, expr in m.constraints):
+                if isinstance(node, (And, Or)):
+                    assert len(node.args) >= 2, name
 
     def test_every_constraint_asserted_with_label(self, sym3):
         g = linear_graph(3)
@@ -157,6 +174,72 @@ class TestEmitSmtlib:
         assert text.count("(assert ") >= len(m.constraints)
         for label, _ in m.constraints:
             assert f"; {label}" in text
+
+
+def _subtrees(roots):
+    """Every distinct node reachable from the roots."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        stack.extend(getattr(node, "args", ()))
+        stack.extend(child for child in (getattr(node, "a", None), getattr(node, "b", None)) if child is not None)
+
+
+class TestFold:
+    x, y = Le(Var("T_0"), Var("S_1")), Not(Var("B_2"))
+
+    def test_conj(self):
+        x, y = self.x, self.y
+        assert conj() is TRUE
+        assert conj(x) is x and conj(TRUE, x, TRUE) is x
+        assert conj(x, FALSE) is FALSE
+        both = conj(x, TRUE, y)
+        assert isinstance(both, And) and both.args[0] is x and both.args[1] is y
+        assert both.smt() == "(and (<= T_0 S_1) (not B_2))"
+
+    def test_disj(self):
+        x, y = self.x, self.y
+        assert disj() is FALSE
+        assert disj(x) is x and disj(FALSE, x, FALSE) is x
+        assert disj(x, TRUE) is TRUE
+        either = disj(x, FALSE, y)
+        assert isinstance(either, Or) and either.args[0] is x and either.args[1] is y
+        assert either.smt() == "(or (<= T_0 S_1) (not B_2))"
+
+    def test_implies(self):
+        x, y = self.x, self.y
+        assert implies(FALSE, x) is TRUE and implies(x, TRUE) is TRUE
+        assert implies(TRUE, x) is x
+        arrow = implies(x, y)
+        assert isinstance(arrow, Implies) and arrow.a is x and arrow.b is y
+        assert arrow.smt() == "(=> (<= T_0 S_1) (not B_2))"
+        env = {"T_0": 5, "S_1": 3, "B_2": True}
+        assert arrow.eval(env)  # false antecedent
+        env["S_1"] = 5
+        assert not arrow.eval(env)
+
+    def test_only_the_singletons_fold(self):
+        # Nodes compare by identity, so a structurally equal copy is kept.
+        assert Var("C_0") != Var("C_0")
+        kept = conj(self.x, Not(FALSE))
+        assert isinstance(kept, And) and len(kept.args) == 2
+
+
+def test_value_types_keep_value_equality():
+    # Objectives and gate ids are compared and hashed by value (set-up
+    # checks compare Objectives), unlike expression nodes.
+    a, b = Objective(ObjectiveKind.MIN_MAKESPAN, True), Objective(ObjectiveKind.MIN_MAKESPAN, True)
+    assert a == b and hash(a) == hash(b)
+    assert a != Objective(ObjectiveKind.MIN_MAKESPAN)
+    g, h = GateId("h", 3, (5,), "prep", 1), GateId("h", 3, (5,), "prep", 1)
+    assert g == h and hash(g) == hash(h)
+    assert g != GateId("h", 3, (5,), "pre", 1)
+    v = ModelVars(C={0: True}, S={0: Fraction(1)}, T={0: Fraction(2)}, B={})
+    assert v == ModelVars(C={0: True}, S={0: Fraction(1)}, T={0: Fraction(2)}, B={})
 
 
 def synthetic_output(m, vars, verdict="sat", style="plain"):
@@ -216,6 +299,13 @@ class TestParseExternalSolution:
             parse_external_solution(m, "")
         with pytest.raises(ExternalSolverError):
             parse_external_solution(m, "maybe\n(model)")
+        with pytest.raises(ExternalSolverError, match="missing variable C_0"):
+            parse_external_solution(m, "sat\n((define-fun (C_0) () Bool true))")
+        for listing in ("sat\n(()", "sat\n())"):
+            with pytest.raises(ExternalSolverError, match="unbalanced"):
+                parse_external_solution(m, listing)
+        with pytest.raises(ExternalSolverError, match="nests deeper"):
+            parse_external_solution(m, "sat\n" + "(" * 5000 + ")" * 5000)
 
 
 def _options(expr):
