@@ -1,9 +1,10 @@
 """Command-line pipeline: place -> model -> solve/emit -> circuit -> simulate.
 
-Exit codes: 0 success, 1 I/O or validation failure, 2 graph not native to the
-device, 3 a size cap was exceeded. Diagnostics go to stderr; machine-readable
-results go to stdout or the requested output files, so runs are scriptable
-and bit-identical for fixed inputs and seeds.
+Exit codes: 0 success, 1 I/O, usage or validation failure, 2 graph not native
+to the device, 3 a size cap was exceeded (the message names the remedy).
+Diagnostics go to stderr; machine-readable results go to stdout or the
+requested output files, so runs are scriptable and bit-identical for fixed
+inputs and seeds.
 """
 
 from __future__ import annotations
@@ -202,6 +203,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation failures: exit 1 with one named line.
+    Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="builtin name (linear:8, ring:6, star:5, fig1-seven) or graph JSON path")
     p.add_argument("--cal", default=None, help=f"calibration JSON (default: ${CALIBRATION_ENV} or the bundled 27-qubit sample)")
@@ -210,7 +219,7 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gscompile",
         description="Hardware-aware compiler for timed graph-state preparation circuits.",
     )
@@ -258,14 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.threads < 1:
+            raise ValidationError(f"argument --threads: must be at least 1, got {args.threads}")
         return args.func(args)
     except NotNativeError as exc:
         _err(str(exc))
         return 2
     except CapExceededError as exc:
-        _err(f"{exc} (hint: use 'gscompile emit-smt' with an external solver)")
+        _err(str(exc))
         return 3
     except (ValidationError, SolutionError, ExternalSolverError, OSError) as exc:
         _err(str(exc))

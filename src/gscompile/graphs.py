@@ -209,7 +209,10 @@ def stabilizer_group(g: GraphSpec) -> List[PauliString]:
     ordering is deterministic.
     """
     if g.n > STABILIZER_GROUP_CAP:
-        raise CapExceededError(f"stabilizer group for n={g.n} exceeds cap {STABILIZER_GROUP_CAP}")
+        raise CapExceededError(
+            f"stabilizer group for n={g.n} exceeds cap {STABILIZER_GROUP_CAP}; "
+            f"fidelity estimation needs at most {STABILIZER_GROUP_CAP} qubits"
+        )
     gens = stabilizer_generators(g)
     group = [PauliString(g.n, 0, 0, 1)]
     for gen in gens:

@@ -29,7 +29,9 @@ _KINDS = (
 def oracle_sweep(m: SchedModel) -> Dict[ObjectiveKind, Tuple[object, int, Tuple[int, ...]]]:
     """Exhaustively find (optimal value, direction mask, edge order) per objective."""
     if m.num_cnots > ORACLE_CAP:
-        raise CapExceededError(f"oracle refuses {m.num_cnots} CNOTs (cap {ORACLE_CAP})")
+        raise CapExceededError(
+            f"oracle refuses {m.num_cnots} CNOTs (cap {ORACLE_CAP}); use 'gscompile compile' for the exact optimum"
+        )
     mc = m.num_cnots
     qubits = m.mapped_qubits
     sq = m.sq_dur

@@ -4,27 +4,40 @@ A leaf is one (direction mask, canonical edge order: adjacent independent
 edges ascending). Hadamard pairs that sit adjacently on a wire are canceled
 greedily (removing gates never hurts any objective) and the rest run as soon
 as possible. That rule is written once, as _Leaf.place(i, d) for CNOT i in
-direction d (its mask bit), and serves both passes and _vars_from_leaf.
+direction d (its mask bit), and serves both the search and _vars_from_leaf.
 
-Value pass: a depth-first search places one edge at a time and branches on
+Search: one depth-first search places one edge at a time and branches on
 its direction there, so no prefix is replayed under another completion. A
 Hadamard on wire q cancels only if some CNOT targeting q lasts at least as
 long, which can hinge on unplaced edges, so each wire carries a state: such
 a CNOT witnesses it; the first shorter one to meet a pending Hadamard on an
 undecided wire branches on "assumed" (dropped once no unplaced edge can
-witness it) and "never" (dropped when a witness is placed). A transposition
-set skips expanded states, keyed on the unplaced edges, the edges allowed
-next (fixed by those and the last edge), per-wire ready time, pending bit
-and cancellation state, the cancel count, and the ends of placed CNOTs with
-unplaced crosstalk partners. Bounds are per-wire critical paths: ready time,
-the shorter duration of each unplaced edge there, and Hadamards that must
-still run.
+witness it) and "never" (dropped when a witness is placed), so each leaf is
+reached on exactly one branch. A transposition table skips expanded states,
+keyed on the unplaced edges, the edges allowed next (fixed by those and the
+last edge), per-wire ready time, pending bit and cancellation state, the
+cancel count, and the ends of placed CNOTs with unplaced crosstalk partners.
+Bounds are per-wire critical paths: ready time, the shorter duration of each
+unplaced edge there, and Hadamards that must still run.
 
-Witness pass: the result is the first optimal leaf in mask-ascending,
-lexicographic order, the brute-force oracle's tie-break. Mask by mask, the
-same search runs with directions fixed, a fresh transposition set and the
-bound preset to the optimum, prunes only strictly worse subtrees, and stops
-at the first leaf that reaches it.
+First leaf: the result is the first optimal leaf in mask-ascending,
+lexicographic order, the brute-force oracle's tie-break. The search carries
+the direction bits of the placed edges (the placed mask), which every leaf
+below extends. A leaf replaces the incumbent when its key is smaller, or
+equal under a smaller mask, and a subtree whose bound ties the incumbent is
+entered only while its placed mask is below the incumbent's. Within one mask
+the search meets leaves in lexicographic edge order: edges are tried
+ascending and the mask fixes every direction, so two leaves of one mask
+part where their orders first differ, and the smaller edge there comes
+first. The table maps each state to the least placed mask that expanded it.
+A state that comes back under a mask no smaller is skipped: the same
+placed edges under equal bits differ first in an edge index, where the
+earlier path had the smaller one, so each leaf below is matched by one covered
+before with the same key, a mask no larger and an earlier edge order. A
+state that comes back under a smaller mask is expanded again, since each of
+its leaves now comes with a smaller mask, and skipping it (a plain set) can
+lose the first optimal leaf. value() wants only the key: there every
+direction bit weighs 0, so ties are pruned and the table acts as a set.
 
 Time is integral: coherences are scaled by the LCM of their denominators (1
 when all are integral) and the value divided back once.
@@ -207,60 +220,43 @@ class _Search:
 
     def run(self) -> Tuple[object, int, Tuple[int, ...]]:
         """(optimal value, direction mask, edge order) of the first optimal leaf."""
-        best = self.value()
-        for mask in range(1 << self.m.num_cnots):
-            _, perm = self._explore(mask, best)
-            if perm is not None:
-                if self.mode == "cancel":
-                    return -best, mask, perm
-                value = Fraction(best) if self.mode == "makespan" else Fraction(-best, self.scale)
-                return value, mask, perm
-        raise AssertionError("the proven optimum has a witness leaf")
+        best, mask, perm = self._explore(first=True)
+        if self.mode == "cancel":
+            return -best, mask, perm
+        value = Fraction(best) if self.mode == "makespan" else Fraction(-best, self.scale)
+        return value, mask, perm
 
     def value(self) -> int:
-        """Value pass: the optimal key over every direction and order."""
-        best, _ = self._explore(None, None)
-        assert best is not None, "model is always satisfiable"
-        return best
+        """The optimal key over every direction and order."""
+        return self._explore(first=False)[0]
 
-    def _explore(self, mask: Optional[int], target: Optional[int]):
-        """One depth-first search from the empty schedule: (best key, edge order).
-
-        With mask None every direction is open and the search returns the
-        minimal key. With a mask every direction is fixed to its bit, and the
-        search returns the first edge order whose leaf reaches target (None
-        if no leaf does).
-        """
+    def _explore(self, first: bool) -> Tuple[int, int, Tuple[int, ...]]:
+        """One depth-first search from the empty schedule: (best key, direction
+        mask, edge order) of the first optimal leaf. With first unset only the
+        key counts: every direction bit weighs 0, so ties are pruned and seen
+        acts as a set."""
         m, leaf, mode, require = self.m, self.leaf, self.mode, self.require_canceled
         mc, nq = m.num_cnots, len(leaf.wires)
         dirs, sq, deadline, after, bits = leaf.dirs, leaf.sq, self.deadline, self.after, self.bits
-        if mask is None:
-            options = [(0, 1) if opts[0][2] <= opts[1][2] else (1, 0) for opts in dirs]
-            leaf.start([UNDECIDED] * nq)
-        else:
-            options = [((mask >> i) & 1,) for i in range(mc)]
-            leaf.start(leaf.mask_can(mask))
+        options = [(0, 1) if opts[0][2] <= opts[1][2] else (1, 0) for opts in dirs]
+        weight = [((0, 1 << i) if first else (0, 0)) for i in range(mc)]
+        leaf.start([UNDECIDED] * nq)
         ready, pending, can, cnot_end = leaf.ready, leaf.pending, leaf.can, leaf.cnot_end
-        # Per edge: its wires, its shorter allowed duration, the wires it may target.
+        # Per edge: its wires and its shorter duration.
         wires_of = [opts[0][:2] for opts in dirs]
-        edge_load = [min(dirs[i][d][2] for d in options[i]) for i in range(mc)]
-        may = [[dirs[i][d][1] for d in options[i]] for i in range(mc)]
-        # Per wire: CNOT time owed, unplaced edges that may / must target it,
-        # and edges with an allowed direction long enough to witness it.
-        load, tmax, tmin, witnesses = [0] * nq, [0] * nq, [0] * nq, [0] * nq
+        edge_load = [min(opts[0][2], opts[1][2]) for opts in dirs]
+        # Per wire: CNOT time owed, unplaced edges on it (each may target
+        # it), and edges with a direction long enough to witness it.
+        load, on_wire, witnesses = [0] * nq, [0] * nq, [0] * nq
 
         def take(i: int, sign: int) -> None:  # add (1) or remove (-1) edge i
             for q in wires_of[i]:
                 load[q] += sign * edge_load[i]
-            for q in may[i]:
-                tmax[q] += sign
-            if len(may[i]) == 1:
-                tmin[may[i][0]] += sign
+                on_wire[q] += sign
 
         for i in range(mc):
             take(i, 1)
-            for d in options[i]:
-                _, t, dur = dirs[i][d]
+            for _, t, dur in dirs[i]:
                 if dur >= sq[t]:
                     witnesses[t] |= 1 << i
         xt_edges = [i for i in range(mc) if leaf.partners[i]]
@@ -268,41 +264,30 @@ class _Search:
         fb, low_bits = self.field_bits, self.low_bits
         shift = [fb * q + low_bits for q in range(nq)]
         top = fb * nq + low_bits
-        seen = set()
+        seen: Dict[int, int] = {}  # state -> least placed mask that expanded it
         placed: List[int] = []
-        strict = target is not None
-        best = target
+        best = best_mask = best_perm = None
 
         def field(q: int) -> int:
             return ((ready[q] << 3) | ((pending[q] is not None) << 2) | can[q]) << shift[q]
 
         def owe(q: int) -> int:
-            # Wire q's least remaining time less its deadline. A wire that never
-            # cancels runs its pending Hadamard and the PRE and POST of each CNOT
-            # that must target it; otherwise the last targeting CNOT's POST runs,
-            # as does a pending Hadamard that no unplaced edge can cancel.
-            pend = pending[q] is not None
-            if can[q] == NEVER:
-                h = sq[q] * (pend + 2 * tmin[q])
-            elif tmin[q] or (pend and not tmax[q]):
-                h = sq[q]
-            else:
-                h = 0
+            # Wire q's least remaining time less its deadline: its pending
+            # Hadamard runs if the wire never cancels or no unplaced edge is on it.
+            h = sq[q] if pending[q] is not None and (can[q] == NEVER or not on_wire[q]) else 0
             return load[q] + h - deadline[q]
 
         owed = [owe(q) for q in range(nq)]
 
-        def dfs(unplaced: int, allowed: int, wires_key: int):
-            nonlocal best
+        def dfs(unplaced: int, allowed: int, wires_key: int, mask: int) -> None:
+            nonlocal best, best_mask, best_perm
             if not unplaced:
                 if require is not None and leaf.canceled != require:
-                    return None
+                    return
                 key = -leaf.canceled if mode == "cancel" else max(map(sub, leaf.wire_ends(), deadline))
-                if strict:
-                    return tuple(placed) if key == best else None
-                if best is None or key < best:
-                    best = key
-                return None
+                if best is None or key < best or (key == best and mask < best_mask):
+                    best, best_mask, best_perm = key, mask, tuple(placed)
+                return
             state = wires_key | (((leaf.canceled << mc) | unplaced) << mc) | allowed
             # Ends still owed to crosstalk partners; unplaced fixes which.
             pos = top
@@ -310,19 +295,20 @@ class _Search:
                 if cnot_end[i] is not None and partner_mask[i] & unplaced:
                     state |= cnot_end[i] << pos
                     pos += fb
-            if state in seen:
-                return None
-            seen.add(state)
+            if seen.get(state, mask + 1) <= mask:
+                return  # expanded before under a mask no larger
+            seen[state] = mask
             n_left = unplaced.bit_count()
             if require is not None and leaf.canceled + 2 * n_left < require:
-                return None
+                return
             if best is not None:
                 if mode == "cancel":
                     lb = -(leaf.canceled + 2 * n_left)
                 else:
                     lb = max(map(add, ready, owed))
-                if lb > best or (lb == best and not strict):
-                    return None
+                # Every leaf below has a mask of at least the placed one.
+                if lb > best or (lb == best and mask >= best_mask):
+                    return
             for i in bits[allowed]:
                 rest = unplaced & ~(1 << i)
                 take(i, -1)
@@ -347,20 +333,17 @@ class _Search:
                             continue  # no unplaced edge can witness the assumption
                         undo = leaf.place(i, d)
                         owed[c], owed[t] = owe(c), owe(t)
-                        found = dfs(rest, rest & after[i], wires_key - old + field(c) + field(t))
+                        dfs(rest, rest & after[i], wires_key - old + field(c) + field(t), mask | weight[i][d])
                         leaf.unplace(i, undo)
-                        if found is not None:
-                            return found  # the witness ends the search
                     can[t] = prev
                 placed.pop()
                 take(i, 1)
                 a, b = wires_of[i]
                 owed[a], owed[b] = owe(a), owe(b)
-            return None
 
-        full = (1 << mc) - 1
-        perm = dfs(full, after[mc], sum(field(q) for q in range(nq)))
-        return best, perm
+        dfs((1 << mc) - 1, after[mc], sum(field(q) for q in range(nq)), 0)
+        assert best is not None, "model is always satisfiable"
+        return best, best_mask, best_perm
 
 
 def _vars_from_leaf(m: SchedModel, mask: int, perm: Tuple[int, ...]) -> ModelVars:
@@ -398,7 +381,8 @@ def solve_exact(m: SchedModel) -> Solution:
     """Provably optimal solution by exhaustive branch-and-bound."""
     if m.num_cnots > DEFAULT_EXACT_CAP:
         raise CapExceededError(
-            f"{m.num_cnots} CNOTs exceeds the exact-search cap of {DEFAULT_EXACT_CAP}; use emit-smt"
+            f"{m.num_cnots} CNOTs exceeds the exact-search cap of {DEFAULT_EXACT_CAP}; "
+            "use 'gscompile emit-smt' with an external solver"
         )
     kind = m.objective.kind
     if kind is ObjectiveKind.SMT_RUNTIME:

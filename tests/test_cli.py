@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 from gscompile import cli
+from gscompile.circuit import circuit_to_json, naive_circuit
 from gscompile.cli import main
-from gscompile.device import save_calibration
+from gscompile.device import load_calibration, sample_calibration_path, save_calibration
+from gscompile.graphs import linear_graph
+from gscompile.placement import best_placement
 
 from conftest import line_calibration
 
@@ -67,6 +70,11 @@ class TestCompile:
         assert code == 3
         assert "emit-smt" in err
 
+    def test_cap_exceeded_names_emit_smt_once(self, capsys):
+        code, _, err = run_main(["compile", "--graph", "linear:12"], capsys)
+        assert code == 3
+        assert err.count("emit-smt") == 1
+
     def test_bad_input_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -107,6 +115,20 @@ class TestOtherCommands:
             ["oracle", "--graph", "linear:8", "--objective", "runtime"], capsys
         )
         assert code == 3
+
+    def test_oracle_cap_names_compile(self, capsys):
+        code, _, err = run_main(["oracle", "--graph", "linear:9"], capsys)
+        assert code == 3
+        assert "compile" in err and "emit-smt" not in err
+
+    def test_simulate_above_stabilizer_cap_exit_3(self, tmp_path, capsys):
+        cal = load_calibration(sample_calibration_path())
+        g = linear_graph(13)
+        circ = tmp_path / "c.json"
+        circ.write_text(json.dumps(circuit_to_json(naive_circuit(g, best_placement(g, cal), cal))))
+        code, _, err = run_main(["simulate", "--circuit", str(circ), "--shots", "16"], capsys)
+        assert code == 3
+        assert "n=13" in err and "emit-smt" not in err
 
     def test_emit_smt_to_file(self, tmp_path, capsys, sym3_path):
         out = tmp_path / "m.smt2"
@@ -154,6 +176,29 @@ class TestOtherCommands:
 
 
 class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["compile"], "--graph"),
+            (["compile", "--graph", "linear:3", "--objective", "nope"], "--objective"),
+            (["simulate", "--circuit", "x", "--shots", "abc"], "--shots"),
+            (["bogus"], "bogus"),
+            (["--threads", "-5", "place", "--graph", "linear:3"], "--threads"),
+            (["--threads", "0", "place", "--graph", "linear:3"], "--threads"),
+        ],
+    )
+    def test_usage_error_exit_1(self, capsys, argv, named):
+        code, _, err = run_main(argv, capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
+        assert named in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["compile", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+
     @pytest.mark.parametrize(
         "graph, field",
         [

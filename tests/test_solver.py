@@ -1,12 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from gscompile.device import load_calibration, sample_calibration_path
 from gscompile.errors import CapExceededError
-from gscompile.graphs import fig1_seven, linear_graph, ring_graph, star_graph
+from gscompile.graphs import builtin_graph, fig1_seven, linear_graph, ring_graph, star_graph
 from gscompile.model import Objective, ObjectiveKind, build_model, check_solution
 from gscompile.oracle import ORACLE_CAP, oracle_search, oracle_sweep
+from gscompile.placement import best_placement
 from gscompile.solver import solve_exact
 
 from conftest import (
@@ -156,6 +159,34 @@ class TestOracleAgreement:
                     assert s.vars == o.vars, where
                     assert check_solution(m, s) == [], where
 
+    def test_five_cnot_witnesses(self):
+        # Five CNOTs on a line and on a star, with straddling Hadamards: the
+        # whole assignment matches the oracle under every objective.
+        rng = random.Random(6)
+        for g in (linear_graph(6), star_graph(6)):
+            cal = straddling_calibration(g, rng)
+            for crosstalk_free in (False, True):
+                for kind in ObjectiveKind:
+                    m = build(g, cal, kind, crosstalk_free)
+                    s, o = solve_exact(m), oracle_search(m)
+                    where = (g.n, crosstalk_free, kind)
+                    assert s.objective_value == o.objective_value, where
+                    assert s.vars == o.vars, where
+
+    def test_witness_behind_a_repeated_state(self):
+        # The search reaches one partial state first under a larger placed
+        # mask and later under a smaller one; only the second path leads to
+        # the first optimal leaf, so a state seen before must be expanded
+        # again when it comes back under a smaller mask.
+        durations = {(0, 1): (135, 200), (1, 2): (100, 135), (2, 3): (135, 100), (3, 4): (100, 135), (4, 5): (135, 200)}
+        g = linear_graph(6)
+        cal = graph_calibration(g, sq=lambda i: (100, 35, 35, 35, 35, 35)[i], cnot=lambda a, b: durations[(a, b)])
+        m = build(g, cal, ObjectiveKind.MIN_MAKESPAN)
+        s = solve_exact(m)
+        assert s.objective_value == 340
+        assert s.vars.C == {0: True, 1: False, 2: False, 3: False, 4: True}
+        assert s.vars == oracle_search(m).vars
+
     def test_decoherence_with_sub_ns_coherence(self):
         # Coherences of 100000.5, 99999.75 and 100000.12 ns: the search runs
         # on a time axis scaled by 100 and must agree with the oracle's
@@ -197,3 +228,22 @@ def test_fig1_seven_compiles_with_six_cnots():
     s = solve_exact(m)
     assert m.num_cnots == 6
     assert check_solution(m, s) == []
+
+
+def test_witness_golden():
+    # The full assignments of 6- to 8-CNOT solves on the bundled device,
+    # every objective with crosstalk allowed and forbidden, hashed: the
+    # tie-break to the first optimal leaf is pinned beyond the oracle's cap.
+    cal = load_calibration(sample_calibration_path())
+    h = hashlib.sha256()
+    for name in ("linear:8", "linear:9", "fig1-seven"):
+        g = builtin_graph(name)
+        e = best_placement(g, cal)
+        for kind in ObjectiveKind:
+            for crosstalk_free in (False, True):
+                s = solve_exact(build_model(g, e, cal, Objective(kind, crosstalk_free)))
+                v = s.vars
+                h.update(repr((
+                    s.objective_value, sorted(v.C.items()), sorted(v.S.items()), sorted(v.T.items()), sorted(v.B.items())
+                )).encode())
+    assert h.hexdigest() == "9aa10d1d613f96dac3040719c49a4f2fafca841b00e7dcaba00fd7c0b5763546"
