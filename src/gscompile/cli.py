@@ -41,7 +41,7 @@ from .model import (
 )
 from .oracle import oracle_sweep
 from .placement import best_placement
-from .sim import NoiseModel, estimate_fidelity
+from .sim import NoiseModel, estimate_fidelity, verify_graph_state
 from .solver import solve_exact
 
 SCHEMA_VERSIONS = {
@@ -128,7 +128,11 @@ def cmd_compile(args) -> int:
         s = _solve_external(m, args.external_solver)
     else:
         s = solve_exact(m)
+        violated = check_solution(m, s)
+        if violated:
+            raise SolutionError(f"solver solution violates constraints: {violated}")
     c = derive_circuit(m, s)
+    verify_graph_state(c)
     summary = {
         "graph": args.graph,
         "n": g.n,

@@ -51,26 +51,32 @@ class PauliString:
 
     def commutes_with(self, other: "PauliString") -> bool:
         s = (self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)
-        return bin(s).count("1") % 2 == 0
+        return s.bit_count() & 1 == 0
 
 
-def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
-    """Product p*q with full {+-1, +-i} phase bookkeeping.
-
-    The one Pauli product rule of the package; the stabilizer tableau in
-    ``sim`` multiplies its rows with it. Per qubit, XY, YZ and ZX contribute
-    a factor +i and the reversed pairs -i. Graph-state stabilizer products
-    are Hermitian, so the result must land on a real sign; an imaginary
-    phase is raised as an internal error.
-    """
-    if p.n != q.n:
-        raise ValidationError("Pauli size mismatch")
-    x1, z1, x2, z2 = p.x_mask, p.z_mask, q.x_mask, q.z_mask
+def mul_phase(x1: int, z1: int, x2: int, z2: int) -> int:
+    """Power of i in the product of the unsigned Paulis with masks (x1, z1)
+    and (x2, z2), in that order: the one Pauli product rule of the package.
+    Per qubit, XY, YZ and ZX contribute a factor +i and the reversed pairs
+    -i; the result is not reduced mod 4."""
     y1, y2 = x1 & z1, x2 & z2
     xo1, xo2, zo1, zo2 = x1 & ~z1, x2 & ~z2, z1 & ~x1, z2 & ~x2
     plus = (xo1 & y2) | (y1 & zo2) | (zo1 & xo2)
     minus = (y1 & xo2) | (zo1 & y2) | (xo1 & zo2)
-    phase = plus.bit_count() - minus.bit_count() + (p.sign < 0) * 2 + (q.sign < 0) * 2
+    return plus.bit_count() - minus.bit_count()
+
+
+def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
+    """Product p*q with full {+-1, +-i} phase bookkeeping (``mul_phase``).
+
+    The stabilizer tableau in ``sim`` multiplies its rows with it. Graph-state
+    stabilizer products are Hermitian, so the result must land on a real
+    sign; an imaginary phase is raised as an internal error.
+    """
+    if p.n != q.n:
+        raise ValidationError("Pauli size mismatch")
+    x1, z1, x2, z2 = p.x_mask, p.z_mask, q.x_mask, q.z_mask
+    phase = mul_phase(x1, z1, x2, z2) + (p.sign < 0) * 2 + (q.sign < 0) * 2
     if phase % 2:
         raise AssertionError("Pauli product has imaginary phase; non-Hermitian result")
     return PauliString(p.n, x1 ^ x2, z1 ^ z2, 1 if phase % 4 == 0 else -1)

@@ -1,12 +1,16 @@
 """Stabilizer verification and noisy fidelity estimation for timed circuits.
 
-Ideal verification runs the circuit on a stabilizer tableau and checks every
-stabilizer-group element has expectation +1. The tableau keeps one integer
-bitmask per qubit for its X and for its Z bits (bit k is row k) plus a sign
-mask. Everything read from it goes through one canonical form, the reduced row
-echelon form of its rows as ``PauliString``s, combined with ``pauli_mul``:
-expectations, the readout-only z-moments and the measurement distribution of
-the Monte Carlo estimator. Noisy estimation is a Pauli-frame
+Ideal verification runs the circuit on a stabilizer tableau and checks that
+stabilizers have expectation +1. The tableau keeps one integer bitmask per
+qubit for its X and for its Z bits (bit k is row k) plus a sign mask.
+Everything read from it goes through one canonical form, the reduced row
+echelon form of its rows, combined with ``pauli_mul``: expectations, the
+readout-only z-moments and the measurement distribution of the Monte Carlo
+estimator. An expectation is a membership test alone: the n rows are
+independent and commute, so they span a maximal commuting set, and a Pauli
+commutes with every row exactly when its X/Z bits lie in their span. Off the
+span it anticommutes with some row (expectation 0); on it, the one group
+element with its bits gives the sign. Noisy estimation is a Pauli-frame
 Monte Carlo: one measurement setting per stabilizer element, depolarizing
 noise after gates, idle dephasing in the schedule's gaps, readout confusion,
 and optional unbiased readout mitigation. A frame is one boolean row per
@@ -27,8 +31,8 @@ import numpy as np
 
 from .circuit import TimedCircuit
 from .device import DeviceCalibration
-from .errors import CapExceededError, ValidationError
-from .graphs import PauliString, _is_int, pauli_mul, stabilizer_group
+from .errors import CapExceededError, SolutionError, ValidationError
+from .graphs import PauliString, _is_int, mul_phase, pauli_mul, stabilizer_generators, stabilizer_group
 
 DENSITY_CAP = 5
 
@@ -48,7 +52,7 @@ class Tableau:
         self.x = [0] * n
         self.z = [1 << q for q in range(n)]  # row q is +Z_q: |0...0>
         self.r = 0
-        self.canon: Optional[Tuple[Tuple[int, PauliString], ...]] = None
+        self.canon: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
 
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
@@ -100,12 +104,14 @@ def _column(p: PauliString, col: int) -> int:
     return (p.x_mask | p.z_mask << p.n) >> col & 1
 
 
-def _canonical(tab: Tableau) -> Tuple[Tuple[int, PauliString], ...]:
+def _canonical(tab: Tableau) -> Tuple[Tuple[int, int, int, int], ...]:
     """Reduced row echelon form of the stabilizer rows over the 2n symplectic
-    columns, X block first, as (pivot column, row) pairs. Rows are combined
-    with ``pauli_mul``, so signs stay exact. The form of a row space is
-    unique, so every reader sees the same rows whatever the gate history.
-    It is cached on the tableau until the tableau's next gate."""
+    columns, X block first, as (pivot column, X mask, Z mask, sign bit)
+    rows. Rows are combined with ``pauli_mul``, so signs stay exact. The
+    form of a row space is unique, so every reader sees the same rows
+    whatever the gate history. It is cached on the tableau until the
+    tableau's next gate. Rows that are not independent (only a tableau built
+    by hand can have them) raise ``ValidationError``."""
     if tab.canon is not None:
         return tab.canon
     rows = tab.rows()
@@ -120,34 +126,55 @@ def _canonical(tab: Tableau) -> Tuple[Tuple[int, PauliString], ...]:
             if other != top and _column(rows[other], col):
                 rows[other] = pauli_mul(rows[top], rows[other])
         pivots.append(col)
-    tab.canon = tuple(zip(pivots, rows))  # paired only now: the loop replaces rows
+    if len(pivots) < tab.n:
+        raise ValidationError(f"tableau rows have rank {len(pivots)}, not {tab.n}: not a stabilizer state")
+    tab.canon = tuple((col, row.x_mask, row.z_mask, int(row.sign < 0)) for col, row in zip(pivots, rows))
     return tab.canon
 
 
-def _member(canon: Tuple[Tuple[int, PauliString], ...], p: PauliString) -> Optional[PauliString]:
-    """The group element with p's X/Z bits (its sign is the state's), or None
-    when no element has them. In reduced form only pivot row k has pivot
-    column k, so the element is the product of the rows whose pivots p hits."""
-    acc = PauliString(p.n, 0, 0)
-    for col, row in canon:
-        if _column(p, col):
-            acc = pauli_mul(acc, row)
-    if (acc.x_mask, acc.z_mask) != (p.x_mask, p.z_mask):
+def _member(canon: Tuple[Tuple[int, int, int, int], ...], x: int, z: int) -> Optional[int]:
+    """Sign of the group element with X/Z masks (x, z), or None when no
+    element has them. In reduced form only pivot row k has pivot column k,
+    so the element is the product of the rows whose pivots the bits hit;
+    it is accumulated as plain masks and a power of i."""
+    bits = x | z << len(canon)  # a full form has n rows
+    ax = az = phase = 0
+    for col, rx, rz, neg in canon:
+        if bits >> col & 1:
+            phase += mul_phase(ax, az, rx, rz) + 2 * neg
+            ax ^= rx
+            az ^= rz
+    if ax != x or az != z:
         return None
-    return acc
+    return 1 if phase % 4 == 0 else -1
 
 
 def expectation(tab: Tableau, p: PauliString) -> int:
-    """Expectation of a signed Pauli on the tableau's state: +1, -1, or 0."""
+    """Expectation of a signed Pauli on the tableau's state: +1, -1, or 0.
+
+    One membership test decides it. The n canonical rows are independent and
+    commute, so the only Paulis commuting with all of them are the ones whose
+    X/Z bits lie in their span: a Pauli off the span anticommutes with some
+    stabilizer and has expectation 0, one on it is +-1 times a group
+    element."""
     if p.n != tab.n:
         raise ValidationError("Pauli size does not match the tableau")
-    canon = _canonical(tab)  # spans the same group as the tableau's rows
-    if not all(p.commutes_with(row) for _, row in canon):
-        return 0
-    member = _member(canon, p)
-    if member is None:  # unreachable for a full tableau, kept as a guard
-        return 0
-    return 1 if member.sign == p.sign else -1
+    sign = _member(_canonical(tab), p.x_mask, p.z_mask)
+    return 0 if sign is None else sign * p.sign
+
+
+def verify_graph_state(c: TimedCircuit) -> None:
+    """Raise ``SolutionError`` unless the ideal circuit prepares its graph
+    state. The n generators are independent and commute, so expectation +1
+    on each fixes the state; the message names the first that fails."""
+    tab = simulate_ideal(c)
+    for v, gen in enumerate(stabilizer_generators(c.graph)):
+        value = expectation(tab, gen)
+        if value != 1:
+            raise SolutionError(
+                f"circuit does not prepare the graph state: generator {gen.label} "
+                f"of vertex {v} has expectation {value}, not +1"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +278,16 @@ def _outcome_sampler(tab: Tableau):
     pivot Z_j fixes b[j] given the free bits, whose own value in b0 is 0.
     """
     n = tab.n
-    zrows = {col - n: row for col, row in _canonical(tab) if col >= n}
+    zrows = {col - n: (z, neg) for col, _, z, neg in _canonical(tab) if col >= n}
     b0 = np.zeros(n, dtype=np.uint8)
-    for j, row in zrows.items():
-        b0[j] = row.sign < 0
+    for j, (_, neg) in zrows.items():
+        b0[j] = neg
     free = [j for j in range(n) if j not in zrows]
     basis = np.zeros((len(free), n), dtype=np.uint8)
     for bi, fj in enumerate(free):
         basis[bi, fj] = 1
-        for j, row in zrows.items():
-            basis[bi, j] = (row.z_mask >> fj) & 1
+        for j, (z, _) in zrows.items():
+            basis[bi, j] = (z >> fj) & 1
     return b0, basis
 
 
@@ -399,10 +426,8 @@ def _element_analytic(
     support = [v for v in range(n) if (element.support() >> v) & 1]
 
     def z_moment(subset: Tuple[int, ...]) -> float:
-        member = _member(canon, PauliString(n, 0, sum(1 << v for v in subset)))
-        if member is None:
-            return 0.0
-        return float(member.sign)
+        sign = _member(canon, 0, sum(1 << v for v in subset))
+        return 0.0 if sign is None else float(sign)
 
     raw = 0.0
     for mask in range(1 << len(support)):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -10,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from gscompile import cli
-from gscompile.circuit import circuit_to_json, naive_circuit
+from gscompile.circuit import circuit_to_json, derive_circuit, naive_circuit
 from gscompile.cli import main
 from gscompile.device import load_calibration, sample_calibration_path, save_calibration
 from gscompile.graphs import linear_graph
 from gscompile.placement import best_placement
+from gscompile.solver import solve_exact
 
 from conftest import line_calibration
 
@@ -55,6 +57,31 @@ class TestCompile:
         )
         assert code == 0
         assert json.loads(stdout)["cnots"] == 6
+
+    def test_dropped_gate_fails_stabilizer_check(self, capsys, monkeypatch):
+        def drop_first_cnot(m, s):
+            c = derive_circuit(m, s)
+            k = next(k for k, tg in enumerate(c.gates) if tg.kind == "cx")
+            return dataclasses.replace(c, gates=c.gates[:k] + c.gates[k + 1:])
+
+        monkeypatch.setattr(cli, "derive_circuit", drop_first_cnot)
+        code, stdout, err = run_main(["compile", "--graph", "linear:4"], capsys)
+        assert code == 1
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("gscompile: circuit does not prepare the graph state: generator ")
+
+    def test_builtin_solution_is_checked(self, capsys, monkeypatch):
+        def all_at_zero(m):
+            s = solve_exact(m)
+            s.vars.S.update(dict.fromkeys(s.vars.S, 0))
+            return s
+
+        monkeypatch.setattr(cli, "solve_exact", all_at_zero)
+        code, _, err = run_main(["compile", "--graph", "linear:4"], capsys)
+        assert code == 1
+        assert err.startswith("gscompile: solver solution violates constraints: [")
 
     def test_not_native_exit_2(self, capsys):
         code, _, err = run_main(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -11,6 +12,7 @@ from gscompile.circuit import circuit_from_json, derive_circuit, naive_circuit
 from gscompile.errors import CapExceededError, ValidationError
 from gscompile.graphs import (
     PauliString,
+    builtin_graph,
     linear_graph,
     ring_graph,
     star_graph,
@@ -102,6 +104,14 @@ class TestExpectationOracle:
         with pytest.raises(ValidationError):
             expectation(Tableau(2), PauliString(3, 0, 0))
 
+    def test_dependent_rows_raise(self):
+        # Both rows Z0Z1: rank 1, so the rows fix no state. Z0 commutes with
+        # both, yet no element has its bits; the check fails closed.
+        tab = Tableau(2)
+        tab.z = [0b11, 0b11]
+        with pytest.raises(ValidationError, match="rank 1"):
+            expectation(tab, PauliString(2, 0, 0b01))
+
 
 class TestSimulateIdeal:
     def test_single_edge_stabilizers(self):
@@ -133,6 +143,31 @@ class TestSimulateIdeal:
         for kind in ObjectiveKind:
             tab = simulate_ideal(compiled(g, sym3, kind))
             assert all(expectation(tab, el) == 1 for el in stabilizer_group(g))
+
+
+def test_expectation_golden():
+    # Every group element and 300 seeded random signed Paulis (most of them
+    # anticommute with some stabilizer) on naive and compiled circuits, plus
+    # the analytic readout-only estimates, which read signs through
+    # ``_member``: hashed, so every expectation is pinned bit for bit.
+    h = hashlib.sha256()
+    for name in ("linear:8", "linear:10", "linear:11", "fig1-seven", "star:4"):
+        g = builtin_graph(name)
+        cal = graph_calibration(g)
+        rng = random.Random(name)
+        paulis = stabilizer_group(g) + [
+            PauliString(g.n, rng.getrandbits(g.n), rng.getrandbits(g.n), rng.choice((1, -1)))
+            for _ in range(300)
+        ]
+        for c in (naive_circuit(g, identity_embedding(g), cal), compiled(g, cal)):
+            tab = simulate_ideal(c)
+            h.update(bytes(expectation(tab, p) % 3 for p in paulis))
+    for n in (4, 5, 6):
+        g = linear_graph(n)
+        cal = graph_calibration(g, **NOISY)
+        est = estimate_fidelity(compiled(g, cal), NoiseModel.from_calibration(cal), analytic=True, mitigate=True)
+        h.update(repr(est).encode())
+    assert h.hexdigest() == "f78f7883283e6749f0cb76245051e9cd80493343e0199d860d3ef66da166fa61"
 
 
 class TestNoiseModel:
