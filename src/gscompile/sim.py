@@ -4,7 +4,7 @@ Ideal verification runs the circuit on a stabilizer tableau and checks that
 stabilizers have expectation +1. The tableau keeps one integer bitmask per
 qubit for its X and for its Z bits (bit k is row k) plus a sign mask.
 Everything read from it goes through one canonical form, the reduced row
-echelon form of its rows, combined with ``pauli_mul``: expectations, the
+echelon form of its rows, combined with ``mul_phase``: expectations, the
 readout-only z-moments and the measurement distribution of the Monte Carlo
 estimator. An expectation is a membership test alone: the n rows are
 independent and commute, so they span a maximal commuting set, and a Pauli
@@ -32,7 +32,7 @@ import numpy as np
 from .circuit import TimedCircuit
 from .device import DeviceCalibration
 from .errors import CapExceededError, SolutionError, ValidationError
-from .graphs import PauliString, _is_int, mul_phase, pauli_mul, stabilizer_generators, stabilizer_group
+from .graphs import PauliString, _is_int, mul_phase, stabilizer_generators, stabilizer_group
 
 DENSITY_CAP = 5
 
@@ -75,15 +75,6 @@ class Tableau:
         self.x[t] ^= self.x[c]
         self.z[c] ^= self.z[t]
 
-    def rows(self) -> List[PauliString]:
-        """The n generators as signed Pauli strings."""
-        out = []
-        for k in range(self.n):
-            xm = sum(((col >> k) & 1) << q for q, col in enumerate(self.x))
-            zm = sum(((col >> k) & 1) << q for q, col in enumerate(self.z))
-            out.append(PauliString(self.n, xm, zm, -1 if (self.r >> k) & 1 else 1))
-        return out
-
 
 def simulate_ideal(c: TimedCircuit) -> Tableau:
     """Run the timed circuit on a tableau over graph vertices, from |0...0>."""
@@ -99,36 +90,50 @@ def simulate_ideal(c: TimedCircuit) -> Tableau:
     return tab
 
 
-def _column(p: PauliString, col: int) -> int:
-    """Bit of symplectic column col: X_col for col < n, else Z_(col-n)."""
-    return (p.x_mask | p.z_mask << p.n) >> col & 1
-
-
 def _canonical(tab: Tableau) -> Tuple[Tuple[int, int, int, int], ...]:
     """Reduced row echelon form of the stabilizer rows over the 2n symplectic
     columns, X block first, as (pivot column, X mask, Z mask, sign bit)
-    rows. Rows are combined with ``pauli_mul``, so signs stay exact. The
-    form of a row space is unique, so every reader sees the same rows
-    whatever the gate history. It is cached on the tableau until the
-    tableau's next gate. Rows that are not independent (only a tableau built
-    by hand can have them) raise ``ValidationError``."""
+    rows. Rows are plain masks combined with ``mul_phase``, so signs stay
+    exact. The form of a row space is unique, so every reader sees the same
+    rows whatever the gate history. It is cached on the tableau until the
+    tableau's next gate. Rows that anticommute or are not independent (only
+    a tableau built by hand can have them) raise ``ValidationError``."""
     if tab.canon is not None:
         return tab.canon
-    rows = tab.rows()
+    n = tab.n
+    rows = [
+        (
+            sum(((col >> k) & 1) << q for q, col in enumerate(tab.x)),
+            sum(((col >> k) & 1) << q for q, col in enumerate(tab.z)),
+            (tab.r >> k) & 1,
+        )
+        for k in range(n)
+    ]
+    sym = [x | z << n for x, z, _ in rows]
+    flip = [z | x << n for x, z, _ in rows]
+    for i in range(n):
+        for j in range(i):
+            if (sym[i] & flip[j]).bit_count() & 1:
+                raise ValidationError(f"tableau rows {j} and {i} anticommute: not a stabilizer state")
+    # Row operations keep the rows commuting, so each product is Hermitian
+    # and its power of i is even.
     pivots: List[int] = []
-    for col in range(2 * tab.n):
+    for col in range(2 * n):
+        part, bit = divmod(col, n)  # the X mask, then the Z mask
         top = len(pivots)
-        k = next((k for k in range(top, tab.n) if _column(rows[k], col)), None)
+        k = next((k for k in range(top, n) if rows[k][part] >> bit & 1), None)
         if k is None:
             continue
         rows[top], rows[k] = rows[k], rows[top]
-        for other in range(tab.n):
-            if other != top and _column(rows[other], col):
-                rows[other] = pauli_mul(rows[top], rows[other])
+        px, pz, pneg = rows[top]
+        for other, (ox, oz, oneg) in enumerate(rows):
+            if other != top and rows[other][part] >> bit & 1:
+                phase = mul_phase(px, pz, ox, oz) + 2 * (pneg + oneg)
+                rows[other] = (px ^ ox, pz ^ oz, phase % 4 // 2)
         pivots.append(col)
-    if len(pivots) < tab.n:
-        raise ValidationError(f"tableau rows have rank {len(pivots)}, not {tab.n}: not a stabilizer state")
-    tab.canon = tuple((col, row.x_mask, row.z_mask, int(row.sign < 0)) for col, row in zip(pivots, rows))
+    if len(pivots) < n:
+        raise ValidationError(f"tableau rows have rank {len(pivots)}, not {n}: not a stabilizer state")
+    tab.canon = tuple((col, *row) for col, row in zip(pivots, rows))
     return tab.canon
 
 
@@ -232,12 +237,16 @@ def _event_stream(c: TimedCircuit, noise: NoiseModel):
     dephasing its wires accumulated, plus trailing idles out to the makespan.
 
     Yields ("idle", (v,), p_z), ("h", (v,), p_err), ("cx", (c, t), p_err)
-    with wires in graph-vertex space.
+    with wires in graph-vertex space. A placement qubit or a CNOT coupler
+    that the noise model lacks raises ``ValidationError`` naming it.
     """
+    for k, q in enumerate(c.placement):
+        if not all(q in rates for rates in (noise.sq_error, noise.coherence_ns, noise.readout)):
+            raise ValidationError(f"placement[{k}]: qubit {q} is not in the noise calibration")
     vmap = c.vertex_of()
     last: Dict[int, Fraction] = {v: Fraction(0) for v in range(c.n)}
     events = []
-    for g in c.gates:
+    for k, g in enumerate(c.gates):
         vs = tuple(vmap[q] for q in g.wires)
         for q, v in zip(g.wires, vs):
             gap = g.start - last[v]
@@ -247,8 +256,10 @@ def _event_stream(c: TimedCircuit, noise: NoiseModel):
         if g.kind == "h":
             events.append(("h", vs, noise.sq_error[g.wires[0]]))
         else:
-            a, b = g.wires
-            events.append(("cx", vs, noise.cx_error[(min(a, b), max(a, b))]))
+            pair = (min(g.wires), max(g.wires))
+            if pair not in noise.cx_error:
+                raise ValidationError(f"gates[{k}].wires: no coupler {pair[0]}-{pair[1]} in the noise calibration")
+            events.append(("cx", vs, noise.cx_error[pair]))
     for v in range(c.n):
         gap = c.makespan - last[v]
         if gap > 0:
@@ -467,8 +478,8 @@ def estimate_fidelity(
     of the measurement distribution; then the readout uniforms, one row of
     shots per support qubit in qubit order.
     """
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    if not _is_int(shots) or shots < 1:
+        raise ValidationError(f"shots must be a positive integer, got {shots}")
     if not _is_int(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     group = stabilizer_group(c.graph)

@@ -36,11 +36,27 @@ earlier path had the smaller one, so each leaf below is matched by one covered
 before with the same key, a mask no larger and an earlier edge order. A
 state that comes back under a smaller mask is expanded again, since each of
 its leaves now comes with a smaller mask, and skipping it (a plain set) can
-lose the first optimal leaf. value() wants only the key: there every
-direction bit weighs 0, so ties are pruned and the table acts as a set.
+lose the first optimal leaf.
 
-Time is integral: coherences are scaled by the LCM of their denominators (1
-when all are integral) and the value divided back once.
+One key: every objective is this one search, over the integer key
+-weight * canceled + (max over wires of (end - deadline) when timed, else 0),
+smaller is better. `cancellation` has weight 1 and no time term; `runtime`
+(deadline 0) and `decoherence` (deadline the wire's coherence) have weight 0;
+`smt-runtime` has deadline 0 and weight 1 << field_bits. Packing: every
+makespan lies in [0, horizon], the length of a fully serial schedule, and
+horizon < 1 << field_bits, so two makespans differ by less than the weight.
+A leaf with more cancellations therefore has the smaller key whatever the
+two makespans, and between equal counts the makespan decides: ordering by
+key is ordering by (most cancellations, then shortest makespan). Bound: no
+leaf below a node cancels more than canceled + 2 * unplaced Hadamards, and
+none ends before the wire bound; the weight is not negative, so
+-weight * (canceled + 2 * unplaced), plus the wire bound when timed, is at
+most every key below. The key is never reported: solve_exact replays the
+leaf and reads the value off the assignment with objective_value_of, as it
+does for an external solver's model.
+
+Time is integral: for `decoherence` the search scales coherences by the LCM
+of their denominators (1 when all are integral); the replay runs in ns.
 """
 
 from __future__ import annotations
@@ -56,6 +72,7 @@ from .model import (
     ObjectiveKind,
     SchedModel,
     Solution,
+    objective_value_of,
     resolved_wires,
 )
 
@@ -181,169 +198,140 @@ class _Leaf:
         return [WITNESSED if q in longest and sq <= longest[q][0] else NEVER for q, sq in enumerate(self.sq)]
 
 
-class _Search:
-    """Branch-and-bound over (directions, edge order) for one objective.
+def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
+    """(direction mask, edge order) of the first leaf with the least key, by
+    one depth-first search from the empty schedule. Keys are "smaller is
+    better" integers on the scaled time axis (module docstring)."""
+    kind = m.objective.kind
+    timed = kind is not ObjectiveKind.MAX_CANCELLATION
+    coherence = [Fraction(m.coherence_ns[q]) for q in m.mapped_qubits]
+    decoherence = kind is ObjectiveKind.MAX_REMAINING_COHERENCE
+    scale = lcm(*(c.denominator for c in coherence)) if decoherence else 1
+    leaf = _Leaf(m, scale)
+    mc, nq = m.num_cnots, len(leaf.wires)
+    dirs, sq = leaf.dirs, leaf.sq
+    # A wire's time term is its end less its deadline: 0, or the scaled
+    # coherence (so the term is minus the remaining coherence).
+    deadline = [(c * scale).numerator if decoherence else 0 for c in coherence]
+    # after[j]: edges that may follow edge j by the commutation rule: a
+    # lower index only if it shares a wire or a crosstalk constraint
+    # with j. after[mc] is the root's "every edge".
+    dependent = [[bool(set(a[:2]) & set(b[:2])) for b in m.cnot_info] for a in m.cnot_info]
+    for i, j in m.crosstalk_pairs:
+        dependent[i][j] = dependent[j][i] = True
+    after = [sum(1 << i for i in range(mc) if i > j or dependent[i][j]) for j in range(mc)]
+    after.append((1 << mc) - 1)
+    bits = [tuple(i for i in range(mc) if (s >> i) & 1) for s in range(1 << mc)]
+    # Key field per wire: ready << 3 | pending bit << 2 | state, in
+    # field_bits wide enough for a fully serial schedule.
+    horizon = sum(max(d[2] for d in opts) for opts in dirs)
+    horizon += (m.graph.n + 2 * mc) * max(sq, default=0)
+    fb = horizon.bit_length() + 3
+    low_bits = (2 * mc + m.graph.n).bit_length() + 2 * mc
+    weight = {ObjectiveKind.MAX_CANCELLATION: 1, ObjectiveKind.SMT_RUNTIME: 1 << fb}.get(kind, 0)
+    options = [(0, 1) if opts[0][2] <= opts[1][2] else (1, 0) for opts in dirs]
+    leaf.start([UNDECIDED] * nq)
+    ready, pending, can, cnot_end = leaf.ready, leaf.pending, leaf.can, leaf.cnot_end
+    # Per edge: its wires and its shorter duration.
+    wires_of = [opts[0][:2] for opts in dirs]
+    edge_load = [min(opts[0][2], opts[1][2]) for opts in dirs]
+    # Per wire: CNOT time owed, unplaced edges on it (each may target
+    # it), and edges with a direction long enough to witness it.
+    load, on_wire, witnesses = [0] * nq, [0] * nq, [0] * nq
 
-    mode: "cancel" (maximize), "makespan" (minimize), "coherence" (maximize).
-    require_canceled pins the cancellation count (lexicographic stage two).
-    Keys are "smaller is better" integers on the scaled time axis.
-    """
+    def take(i: int, sign: int) -> None:  # add (1) or remove (-1) edge i
+        for q in wires_of[i]:
+            load[q] += sign * edge_load[i]
+            on_wire[q] += sign
 
-    def __init__(self, m: SchedModel, mode: str, require_canceled: Optional[int] = None):
-        self.m = m
-        self.mode = mode
-        self.require_canceled = require_canceled
-        coherence = [Fraction(m.coherence_ns[q]) for q in m.mapped_qubits]
-        self.scale = lcm(*(c.denominator for c in coherence)) if mode == "coherence" else 1
-        self.leaf = leaf = _Leaf(m, self.scale)
-        # A wire's key term is its end less its deadline: 0, or the scaled
-        # coherence (so the key is minus the remaining coherence).
-        self.deadline = [
-            (c * self.scale).numerator if mode == "coherence" else 0 for c in coherence
-        ]
-        mc = m.num_cnots
-        # after[j]: edges that may follow edge j by the commutation rule: a
-        # lower index only if it shares a wire or a crosstalk constraint
-        # with j. after[mc] is the root's "every edge".
-        dependent = [[bool(set(a[:2]) & set(b[:2])) for b in m.cnot_info] for a in m.cnot_info]
-        for i, j in m.crosstalk_pairs:
-            dependent[i][j] = dependent[j][i] = True
-        self.after = [sum(1 << i for i in range(mc) if i > j or dependent[i][j]) for j in range(mc)]
-        self.after.append((1 << mc) - 1)
-        self.bits = [tuple(i for i in range(mc) if (s >> i) & 1) for s in range(1 << mc)]
-        # Key field per wire: ready << 3 | pending bit << 2 | state, in
-        # field_bits wide enough for a fully serial schedule.
-        horizon = sum(max(d[2] for d in opts) for opts in leaf.dirs)
-        horizon += (m.graph.n + 2 * mc) * max(leaf.sq, default=0)
-        self.field_bits = horizon.bit_length() + 3
-        self.low_bits = (2 * mc + m.graph.n).bit_length() + 2 * mc
+    for i in range(mc):
+        take(i, 1)
+        for _, t, dur in dirs[i]:
+            if dur >= sq[t]:
+                witnesses[t] |= 1 << i
+    xt_edges = [i for i in range(mc) if leaf.partners[i]]
+    partner_mask = [sum(1 << j for j in leaf.partners[i]) for i in range(mc)]
+    shift = [fb * q + low_bits for q in range(nq)]
+    top = fb * nq + low_bits
+    seen: Dict[int, int] = {}  # state -> least placed mask that expanded it
+    placed: List[int] = []
+    best = best_mask = best_perm = None
 
-    def run(self) -> Tuple[object, int, Tuple[int, ...]]:
-        """(optimal value, direction mask, edge order) of the first optimal leaf."""
-        best, mask, perm = self._explore(first=True)
-        if self.mode == "cancel":
-            return -best, mask, perm
-        value = Fraction(best) if self.mode == "makespan" else Fraction(-best, self.scale)
-        return value, mask, perm
+    def field(q: int) -> int:
+        return ((ready[q] << 3) | ((pending[q] is not None) << 2) | can[q]) << shift[q]
 
-    def value(self) -> int:
-        """The optimal key over every direction and order."""
-        return self._explore(first=False)[0]
+    def owe(q: int) -> int:
+        # Wire q's least remaining time less its deadline: its pending
+        # Hadamard runs if the wire never cancels or no unplaced edge is on it.
+        h = sq[q] if pending[q] is not None and (can[q] == NEVER or not on_wire[q]) else 0
+        return load[q] + h - deadline[q]
 
-    def _explore(self, first: bool) -> Tuple[int, int, Tuple[int, ...]]:
-        """One depth-first search from the empty schedule: (best key, direction
-        mask, edge order) of the first optimal leaf. With first unset only the
-        key counts: every direction bit weighs 0, so ties are pruned and seen
-        acts as a set."""
-        m, leaf, mode, require = self.m, self.leaf, self.mode, self.require_canceled
-        mc, nq = m.num_cnots, len(leaf.wires)
-        dirs, sq, deadline, after, bits = leaf.dirs, leaf.sq, self.deadline, self.after, self.bits
-        options = [(0, 1) if opts[0][2] <= opts[1][2] else (1, 0) for opts in dirs]
-        weight = [((0, 1 << i) if first else (0, 0)) for i in range(mc)]
-        leaf.start([UNDECIDED] * nq)
-        ready, pending, can, cnot_end = leaf.ready, leaf.pending, leaf.can, leaf.cnot_end
-        # Per edge: its wires and its shorter duration.
-        wires_of = [opts[0][:2] for opts in dirs]
-        edge_load = [min(opts[0][2], opts[1][2]) for opts in dirs]
-        # Per wire: CNOT time owed, unplaced edges on it (each may target
-        # it), and edges with a direction long enough to witness it.
-        load, on_wire, witnesses = [0] * nq, [0] * nq, [0] * nq
+    owed = [owe(q) for q in range(nq)]
 
-        def take(i: int, sign: int) -> None:  # add (1) or remove (-1) edge i
-            for q in wires_of[i]:
-                load[q] += sign * edge_load[i]
-                on_wire[q] += sign
-
-        for i in range(mc):
-            take(i, 1)
-            for _, t, dur in dirs[i]:
+    def dfs(unplaced: int, allowed: int, wires_key: int, mask: int) -> None:
+        nonlocal best, best_mask, best_perm
+        if not unplaced:
+            key = -weight * leaf.canceled
+            if timed:
+                key += max(map(sub, leaf.wire_ends(), deadline))
+            if best is None or key < best or (key == best and mask < best_mask):
+                best, best_mask, best_perm = key, mask, tuple(placed)
+            return
+        state = wires_key | (((leaf.canceled << mc) | unplaced) << mc) | allowed
+        # Ends still owed to crosstalk partners; unplaced fixes which.
+        pos = top
+        for i in xt_edges:
+            if cnot_end[i] is not None and partner_mask[i] & unplaced:
+                state |= cnot_end[i] << pos
+                pos += fb
+        if seen.get(state, mask + 1) <= mask:
+            return  # expanded before under a mask no larger
+        seen[state] = mask
+        if best is not None:
+            lb = -weight * (leaf.canceled + 2 * unplaced.bit_count())
+            if timed:
+                lb += max(map(add, ready, owed))
+            # Every leaf below has a mask of at least the placed one.
+            if lb > best or (lb == best and mask >= best_mask):
+                return
+        for i in bits[allowed]:
+            rest = unplaced & ~(1 << i)
+            take(i, -1)
+            placed.append(i)
+            for d in options[i]:
+                c, t, dur = dirs[i][d]
+                prev = can[t]
                 if dur >= sq[t]:
-                    witnesses[t] |= 1 << i
-        xt_edges = [i for i in range(mc) if leaf.partners[i]]
-        partner_mask = [sum(1 << j for j in leaf.partners[i]) for i in range(mc)]
-        fb, low_bits = self.field_bits, self.low_bits
-        shift = [fb * q + low_bits for q in range(nq)]
-        top = fb * nq + low_bits
-        seen: Dict[int, int] = {}  # state -> least placed mask that expanded it
-        placed: List[int] = []
-        best = best_mask = best_perm = None
-
-        def field(q: int) -> int:
-            return ((ready[q] << 3) | ((pending[q] is not None) << 2) | can[q]) << shift[q]
-
-        def owe(q: int) -> int:
-            # Wire q's least remaining time less its deadline: its pending
-            # Hadamard runs if the wire never cancels or no unplaced edge is on it.
-            h = sq[q] if pending[q] is not None and (can[q] == NEVER or not on_wire[q]) else 0
-            return load[q] + h - deadline[q]
-
-        owed = [owe(q) for q in range(nq)]
-
-        def dfs(unplaced: int, allowed: int, wires_key: int, mask: int) -> None:
-            nonlocal best, best_mask, best_perm
-            if not unplaced:
-                if require is not None and leaf.canceled != require:
-                    return
-                key = -leaf.canceled if mode == "cancel" else max(map(sub, leaf.wire_ends(), deadline))
-                if best is None or key < best or (key == best and mask < best_mask):
-                    best, best_mask, best_perm = key, mask, tuple(placed)
-                return
-            state = wires_key | (((leaf.canceled << mc) | unplaced) << mc) | allowed
-            # Ends still owed to crosstalk partners; unplaced fixes which.
-            pos = top
-            for i in xt_edges:
-                if cnot_end[i] is not None and partner_mask[i] & unplaced:
-                    state |= cnot_end[i] << pos
-                    pos += fb
-            if seen.get(state, mask + 1) <= mask:
-                return  # expanded before under a mask no larger
-            seen[state] = mask
-            n_left = unplaced.bit_count()
-            if require is not None and leaf.canceled + 2 * n_left < require:
-                return
-            if best is not None:
-                if mode == "cancel":
-                    lb = -(leaf.canceled + 2 * n_left)
+                    if prev == NEVER:
+                        continue  # contradicts "no CNOT witnesses t"
+                    states = (WITNESSED,)
+                elif prev == UNDECIDED and pending[t] is not None:
+                    states = (ASSUMED, NEVER)
                 else:
-                    lb = max(map(add, ready, owed))
-                # Every leaf below has a mask of at least the placed one.
-                if lb > best or (lb == best and mask >= best_mask):
-                    return
-            for i in bits[allowed]:
-                rest = unplaced & ~(1 << i)
-                take(i, -1)
-                placed.append(i)
-                for d in options[i]:
-                    c, t, dur = dirs[i][d]
-                    prev = can[t]
-                    if dur >= sq[t]:
-                        if prev == NEVER:
-                            continue  # contradicts "no CNOT witnesses t"
-                        states = (WITNESSED,)
-                    elif prev == UNDECIDED and pending[t] is not None:
-                        states = (ASSUMED, NEVER)
-                    else:
-                        states = (prev,)
-                    old = field(c) + field(t)
-                    for state_t in states:
-                        can[t] = state_t
-                        if (state_t == ASSUMED and not witnesses[t] & rest) or (
-                            can[c] == ASSUMED and not witnesses[c] & rest
-                        ):
-                            continue  # no unplaced edge can witness the assumption
-                        undo = leaf.place(i, d)
-                        owed[c], owed[t] = owe(c), owe(t)
-                        dfs(rest, rest & after[i], wires_key - old + field(c) + field(t), mask | weight[i][d])
-                        leaf.unplace(i, undo)
-                    can[t] = prev
-                placed.pop()
-                take(i, 1)
-                a, b = wires_of[i]
-                owed[a], owed[b] = owe(a), owe(b)
+                    states = (prev,)
+                old = field(c) + field(t)
+                for state_t in states:
+                    can[t] = state_t
+                    if (state_t == ASSUMED and not witnesses[t] & rest) or (
+                        can[c] == ASSUMED and not witnesses[c] & rest
+                    ):
+                        continue  # no unplaced edge can witness the assumption
+                    undo = leaf.place(i, d)
+                    owed[c], owed[t] = owe(c), owe(t)
+                    dfs(rest, rest & after[i], wires_key - old + field(c) + field(t), mask | d << i)
+                    leaf.unplace(i, undo)
+                can[t] = prev
+            placed.pop()
+            take(i, 1)
+            a, b = wires_of[i]
+            owed[a], owed[b] = owe(a), owe(b)
 
-        dfs((1 << mc) - 1, after[mc], sum(field(q) for q in range(nq)), 0)
-        assert best is not None, "model is always satisfiable"
-        return best, best_mask, best_perm
+    dfs((1 << mc) - 1, after[mc], sum(field(q) for q in range(nq)), 0)
+    # dfs holds itself through its closure; unbinding it frees the table on
+    # return instead of at the next full garbage collection.
+    del dfs
+    assert best is not None, "model is always satisfiable"
+    return best_mask, best_perm
 
 
 def _vars_from_leaf(m: SchedModel, mask: int, perm: Tuple[int, ...]) -> ModelVars:
@@ -384,19 +372,5 @@ def solve_exact(m: SchedModel) -> Solution:
             f"{m.num_cnots} CNOTs exceeds the exact-search cap of {DEFAULT_EXACT_CAP}; "
             "use 'gscompile emit-smt' with an external solver"
         )
-    kind = m.objective.kind
-    if kind is ObjectiveKind.SMT_RUNTIME:
-        cancel_value = -_Search(m, "cancel").value()
-        makespan_value, mask, perm = _Search(
-            m, "makespan", require_canceled=cancel_value
-        ).run()
-        objective_value = (cancel_value, makespan_value)
-    else:
-        mode = {
-            ObjectiveKind.MAX_CANCELLATION: "cancel",
-            ObjectiveKind.MIN_MAKESPAN: "makespan",
-            ObjectiveKind.MAX_REMAINING_COHERENCE: "coherence",
-        }[kind]
-        objective_value, mask, perm = _Search(m, mode).run()
-    vars = _vars_from_leaf(m, mask, perm)
-    return Solution(vars=vars, objective_value=objective_value, proven_optimal=True)
+    vars = _vars_from_leaf(m, *_search(m))
+    return Solution(vars=vars, objective_value=objective_value_of(m, vars), proven_optimal=True)

@@ -18,7 +18,7 @@ from gscompile.graphs import linear_graph
 from gscompile.placement import best_placement
 from gscompile.solver import solve_exact
 
-from conftest import line_calibration
+from conftest import line_calibration, make_calibration
 
 
 @pytest.fixture
@@ -200,6 +200,20 @@ class TestOtherCommands:
         )
         assert code == 0
         assert abs(json.loads(stdout)["fidelity_mitigated"] - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("noise_cal, named", [
+        (line_calibration(2), "placement[2]: qubit 2"),
+        (make_calibration(3, [(0, 1)]), ".wires: no coupler 1-2"),
+    ], ids=["missing-qubit", "missing-coupler"])
+    def test_simulate_noise_calibration_mismatch_exit_1(self, tmp_path, capsys, sym3_path, noise_cal, named):
+        circ = tmp_path / "c.json"
+        run_main(["compile", "--graph", "linear:3", "--cal", sym3_path, "--out", str(circ)], capsys)
+        noise = tmp_path / "noise.json"
+        save_calibration(noise_cal, noise)
+        code, stdout, err = run_main(["simulate", "--circuit", str(circ), "--noise-from", str(noise)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
+        assert named in err and "Traceback" not in err
 
 
 class TestMalformedInput:

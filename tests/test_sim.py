@@ -33,7 +33,7 @@ from gscompile.sim import (
 )
 from gscompile.solver import solve_exact
 
-from conftest import graph_calibration, identity_embedding, line_calibration
+from conftest import graph_calibration, identity_embedding, line_calibration, make_calibration
 
 from test_graphs import dense  # dense-matrix Pauli oracle
 
@@ -111,6 +111,15 @@ class TestExpectationOracle:
         tab.z = [0b11, 0b11]
         with pytest.raises(ValidationError, match="rank 1"):
             expectation(tab, PauliString(2, 0, 0b01))
+
+    def test_anticommuting_rows_raise(self):
+        # Rows X0 and Z0 are independent but anticommute, so they fix no
+        # state; read as a span they would give +Y0 the sign -1.
+        tab = Tableau(2)
+        tab.x, tab.z = [0b01, 0], [0b10, 0]
+        for sign in (1, -1):
+            with pytest.raises(ValidationError, match="rows 0 and 1 anticommute"):
+                expectation(tab, PauliString(2, 0b01, 0b01, sign))
 
 
 class TestSimulateIdeal:
@@ -228,6 +237,23 @@ class TestEstimateFidelity:
         c = compiled(linear_graph(2), line_calibration(2))
         with pytest.raises(ValidationError):
             estimate_fidelity(c, NoiseModel.noiseless(line_calibration(2)), shots=0)
+
+    @pytest.mark.parametrize("shots", [2.5, True, "8"])
+    def test_shots_must_be_an_integer(self, shots):
+        c = compiled(linear_graph(2), line_calibration(2))
+        with pytest.raises(ValidationError, match="shots must be a positive integer"):
+            estimate_fidelity(c, NoiseModel.noiseless(line_calibration(2)), shots=shots)
+
+    def test_noise_calibration_must_cover_the_circuit(self, sym3):
+        c = compiled(linear_graph(3), sym3)
+        with pytest.raises(ValidationError, match=r"placement\[2\]: qubit 2"):
+            estimate_fidelity(c, NoiseModel.from_calibration(line_calibration(2)), shots=8)
+        k = next(k for k, g in enumerate(c.gates) if g.kind == "cx" and set(g.wires) == {1, 2})
+        no_coupler = NoiseModel.from_calibration(make_calibration(3, [(0, 1)]))
+        with pytest.raises(ValidationError, match=rf"gates\[{k}\].wires: no coupler 1-2"):
+            estimate_fidelity(c, no_coupler, shots=8)
+        with pytest.raises(ValidationError, match=rf"gates\[{k}\].wires"):
+            density_oracle(c, no_coupler)
 
     def test_monotone_under_rate_scaling(self):
         # fidelity falls as gate error rates rise (MC trend on fixed seed)

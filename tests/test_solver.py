@@ -39,6 +39,18 @@ class TestDerivedConstants:
         assert s.objective_value == (4, Fraction(670))
         assert s.proven_optimal
 
+    def test_lex_cancellation_outweighs_makespan(self):
+        # 35 ns Hadamards; the CNOT takes 34 ns one way, too short to hold a
+        # Hadamard (nothing cancels, makespan 139), and 1000 ns the other
+        # (the target's prep and sandwich Hadamards cancel, makespan 1070).
+        # smt-runtime buys the one cancellation with 931 ns of makespan.
+        cal = line_calibration(2, cnot=lambda a, b: (34, 1000))
+        assert solve_exact(build(linear_graph(2), cal, ObjectiveKind.MIN_MAKESPAN)).objective_value == 139
+        m = build(linear_graph(2), cal, ObjectiveKind.SMT_RUNTIME)
+        s = solve_exact(m)
+        assert s.objective_value == (2, Fraction(1070))
+        assert s.vars == oracle_search(m).vars
+
     def test_linear5_max_cancellation(self):
         m = build(linear_graph(5), line_calibration(5), ObjectiveKind.MAX_CANCELLATION)
         s = solve_exact(m)
@@ -247,3 +259,20 @@ def test_witness_golden():
                     s.objective_value, sorted(v.C.items()), sorted(v.S.items()), sorted(v.T.items()), sorted(v.B.items())
                 )).encode())
     assert h.hexdigest() == "9aa10d1d613f96dac3040719c49a4f2fafca841b00e7dcaba00fd7c0b5763546"
+
+
+def test_smt_runtime_golden_linear10():
+    # The packed smt-runtime key on 9 CNOTs, one more than
+    # test_witness_golden: the full assignments of linear:10 on the bundled
+    # device, crosstalk allowed and forbidden, hashed.
+    cal = load_calibration(sample_calibration_path())
+    g = builtin_graph("linear:10")
+    e = best_placement(g, cal)
+    h = hashlib.sha256()
+    for crosstalk_free in (False, True):
+        s = solve_exact(build_model(g, e, cal, Objective(ObjectiveKind.SMT_RUNTIME, crosstalk_free)))
+        v = s.vars
+        h.update(repr((
+            s.objective_value, sorted(v.C.items()), sorted(v.S.items()), sorted(v.T.items()), sorted(v.B.items())
+        )).encode())
+    assert h.hexdigest() == "0c9157aece2144fb3bf192ae0884da868a6ce06ca454dfa83a80a8bc029cabd7"
