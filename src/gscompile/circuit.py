@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from .device import DeviceCalibration
 from .errors import SolutionError, ValidationError
-from .graphs import GraphSpec, _is_int, graph_from_edges
+from .graphs import GraphSpec, _is_int, _read_json, graph_from_edges
 from .model import SchedModel, Solution, resolved_wires
 from .placement import Embedding
 
@@ -264,8 +263,4 @@ def export_circuit(c: TimedCircuit, format: str = "json") -> str:
 
 
 def load_circuit(path) -> TimedCircuit:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed circuit file {path}: {exc}") from exc
-    return circuit_from_json(data)
+    return circuit_from_json(_read_json(path, "circuit"))

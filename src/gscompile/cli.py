@@ -105,17 +105,20 @@ def _solve_external(m, command: str):
         path = f.name
     try:
         proc = subprocess.run(
-            shlex.split(command) + [path], capture_output=True, text=True, timeout=EXTERNAL_SOLVER_TIMEOUT_S
+            shlex.split(command) + [path], capture_output=True, timeout=EXTERNAL_SOLVER_TIMEOUT_S
         )
     except subprocess.TimeoutExpired:
         raise ExternalSolverError(f"external solver timed out after {EXTERNAL_SOLVER_TIMEOUT_S} s") from None
     finally:
         os.unlink(path)
     if proc.returncode not in (0, 1):  # some solvers exit 1 on sat
-        raise ExternalSolverError(
-            f"external solver failed (exit {proc.returncode}): {proc.stderr.strip()}"
-        )
-    s = parse_external_solution(m, proc.stdout)
+        stderr = proc.stderr.decode(errors="replace").strip()
+        raise ExternalSolverError(f"external solver failed (exit {proc.returncode}): {stderr}")
+    try:
+        output = proc.stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ExternalSolverError(f"external solver output is not UTF-8: {exc}") from None
+    s = parse_external_solution(m, output)
     violated = check_solution(m, s)
     if violated:
         raise ExternalSolverError(f"external solution violates constraints: {violated}")

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import ValidationError
-from .graphs import _is_int
+from .graphs import _is_int, _read_json
 
 # Field name -> type of each calibration record.
 _QUBIT_FIELDS = {"index": int, "coherence_time_us": float, "readout_p01": float,
@@ -145,10 +145,7 @@ def calibration_from_json(data: dict) -> DeviceCalibration:
 
 def load_calibration(path) -> DeviceCalibration:
     """Load and validate a calibration JSON file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed calibration file {path}: {exc}") from exc
+    data = _read_json(path, "calibration")
     if not isinstance(data, dict):
         raise ValidationError("calibration file must hold a JSON object")
     return calibration_from_json(data)

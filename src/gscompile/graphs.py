@@ -175,10 +175,7 @@ def builtin_graph(name: str) -> GraphSpec:
 
 def load_graph(path) -> GraphSpec:
     """Load a graph file: UTF-8 JSON {"n": int, "edges": [[a, b], ...]}."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed graph file {path}: {exc}") from exc
+    data = _read_json(path, "graph")
     if not isinstance(data, dict) or set(data) != {"n", "edges"}:
         raise ValidationError("graph file must have exactly the keys 'n' and 'edges'")
     n, edges = data["n"], data["edges"]
@@ -194,6 +191,15 @@ def load_graph(path) -> GraphSpec:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_json(path, what: str):
+    """Parse a UTF-8 JSON input file. Bytes that are not UTF-8, malformed JSON
+    and nesting too deep to parse raise ValidationError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
 
 
 def stabilizer_generators(g: GraphSpec) -> List[PauliString]:

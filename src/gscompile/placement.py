@@ -95,6 +95,7 @@ def best_placement(g: GraphSpec, cal: DeviceCalibration) -> Embedding:
             used.discard(h)
 
     extend(0, 1.0, len(g.edges))
+    del extend  # unbinds its self-reference, as for subiso.embeddings_iter
     if best is None:
         raise NotNativeError(f"graph with {g.n} vertices is not native to device '{cal.snapshot_label}'")
     return best

@@ -23,31 +23,39 @@ unplaced edge there, and Hadamards that must still run.
 First leaf: the result is the first optimal leaf in mask-ascending,
 lexicographic order, the brute-force oracle's tie-break. The search carries
 the direction bits of the placed edges (the placed mask), which every leaf
-below extends. A leaf replaces the incumbent when its key is smaller, or
-equal under a smaller mask, and a subtree whose bound ties the incumbent is
-entered only while its placed mask is below the incumbent's. Within one mask
-the search meets leaves in lexicographic edge order: edges are tried
-ascending and the mask fixes every direction, so two leaves of one mask
-part where their orders first differ, and the smaller edge there comes
+below extends, and its incumbent is one integer: a leaf's folded key
+(key << mc) + mask, for mc CNOTs. The fold rests on two facts. The mask is
+below 1 << mc, so a smaller folded key is a smaller key, or an equal key
+under a smaller mask. Every leaf key is at most horizon (One key, below), so
+the incumbent starts at (horizon + 1) << mc, above every folded key. A leaf
+replaces the incumbent when its folded key is smaller, so of two equal ones
+the first met stays. A subtree is entered only while
+(bound << mc) + placed mask is below the incumbent, since every leaf below
+has a key of at least the bound and a mask of at least the placed one.
+Within one mask the search meets leaves in lexicographic edge order: edges
+are tried ascending and the mask fixes every direction, so two leaves of one
+mask part where their orders first differ, and the smaller edge there comes
 first. The table maps each state to the least placed mask that expanded it.
-A state that comes back under a mask no smaller is skipped: the same
-placed edges under equal bits differ first in an edge index, where the
-earlier path had the smaller one, so each leaf below is matched by one covered
-before with the same key, a mask no larger and an earlier edge order. A
-state that comes back under a smaller mask is expanded again, since each of
-its leaves now comes with a smaller mask, and skipping it (a plain set) can
-lose the first optimal leaf.
+A state that comes back under a mask no smaller is skipped: the same placed
+edges under equal bits differ first in an edge index, where the earlier path
+had the smaller one, so each leaf below is matched by one covered before
+with the same key, a mask no larger and an earlier edge order. A state that
+comes back under a smaller mask is expanded again, since each of its leaves
+now comes with a smaller mask, and skipping it (a plain set) can lose the
+first optimal leaf.
 
 One key: every objective is this one search, over the integer key
 -weight * canceled + (max over wires of (end - deadline) when timed, else 0),
 smaller is better. `cancellation` has weight 1 and no time term; `runtime`
 (deadline 0) and `decoherence` (deadline the wire's coherence) have weight 0;
-`smt-runtime` has deadline 0 and weight 1 << field_bits. Packing: every
-makespan lies in [0, horizon], the length of a fully serial schedule, and
-horizon < 1 << field_bits, so two makespans differ by less than the weight.
-A leaf with more cancellations therefore has the smaller key whatever the
-two makespans, and between equal counts the makespan decides: ordering by
-key is ordering by (most cancellations, then shortest makespan). Bound: no
+`smt-runtime` has deadline 0 and weight 1 << field_bits. Every gate starts
+at 0 or at the end of an earlier one, so every makespan lies in [0, horizon],
+the length of a fully serial schedule; deadlines and weights are not
+negative, so every key is at most horizon. Packing: horizon <
+1 << field_bits, so two makespans differ by less than the weight. A leaf
+with more cancellations therefore has the smaller key whatever the two
+makespans, and between equal counts the makespan decides: ordering by key
+is ordering by (most cancellations, then shortest makespan). Bound: no
 leaf below a node cancels more than canceled + 2 * unplaced Hadamards, and
 none ends before the wire bound; the weight is not negative, so
 -weight * (canceled + 2 * unplaced), plus the wire bound when timed, is at
@@ -63,7 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CapExceededError
@@ -92,14 +100,14 @@ class _Leaf:
     otherwise the pending Hadamard and then PRE run; the control wire's
     pending Hadamard runs; the CNOT starts when both wires are free and every
     crosstalk partner already placed has ended; its POST becomes the target
-    wire's pending Hadamard. With record set, gate windows and canceled gate
-    ids are kept for building a full variable assignment. Times are ns
+    wire's pending Hadamard. start_of[gate id] is the start of each Hadamard
+    run since start(), and a canceled one never gets one; unplace leaves it
+    as is, so only the replay, which never unplaces, reads it. Times are ns
     multiplied by scale.
     """
 
-    def __init__(self, m: SchedModel, scale: int = 1, record: bool = False):
+    def __init__(self, m: SchedModel, scale: int = 1):
         self.m = m
-        self.record = record
         self.wires = list(m.mapped_qubits)
         self.index = idx = {q: k for k, q in enumerate(self.wires)}
         self.sq = [m.sq_dur[q] * scale for q in self.wires]
@@ -127,24 +135,19 @@ class _Leaf:
         self.pending = list(self.preps)
         self.canceled = 0
         self.cnot_end: List[Optional[int]] = [None] * self.m.num_cnots
-        self.windows: Dict[int, Tuple[int, int]] = {}
-        self.canceled_ids: List[int] = []
+        self.start_of: List[Optional[int]] = [None] * len(self.m.gates)
 
     def _run(self, gid: int, q: int) -> None:
-        start = self.ready[q]
+        self.start_of[gid] = start = self.ready[q]
         self.ready[q] = start + self.sq[q]
-        if self.record:
-            self.windows[gid] = (start, self.ready[q])
 
     def place(self, i: int, d: int):
-        """Schedule CNOT i in direction d with its sandwich; returns the record unplace needs."""
+        """Schedule CNOT i in direction d with its sandwich; returns the undo tuple unplace takes."""
         c, t, dur = self.dirs[i][d]
         ready, pending = self.ready, self.pending
         undo = (c, t, ready[c], ready[t], pending[c], pending[t], self.canceled)
         if pending[t] is not None and self.can[t] >= ASSUMED:
             self.canceled += 2
-            if self.record:
-                self.canceled_ids += (pending[t], self.pre[i])
         else:
             if pending[t] is not None:
                 self._run(pending[t], t)
@@ -160,8 +163,6 @@ class _Leaf:
         end = start + dur
         ready[c] = ready[t] = end
         self.cnot_end[i] = end
-        if self.record:
-            self.windows[i] = (start, end)
         pending[t] = self.post[i]
         return undo
 
@@ -169,33 +170,6 @@ class _Leaf:
         c, t = undo[0], undo[1]
         self.ready[c], self.ready[t], self.pending[c], self.pending[t], self.canceled = undo[2:]
         self.cnot_end[i] = None
-
-    def wire_ends(self) -> List[int]:
-        """Per-wire end once every pending Hadamard runs (leaves the state as is)."""
-        ends = []
-        for q, ready in enumerate(self.ready):
-            gid = self.pending[q]
-            ends.append(ready if gid is None else ready + self.sq[q])
-            if self.record and gid is not None:
-                self.windows[gid] = (ready, ends[q])
-        return ends
-
-    def longest(self, mask: int) -> Dict[int, Tuple[int, int]]:
-        """Per wire, (duration, index) of the longest CNOT targeting it under
-        mask, lowest index on ties: a Hadamard there cancels only if it fits
-        inside that CNOT, which is also where a canceled Hadamard's
-        containment witness sits."""
-        longest: Dict[int, Tuple[int, int]] = {}
-        for i, opts in enumerate(self.dirs):
-            _, t, dur = opts[(mask >> i) & 1]
-            if t not in longest or dur > longest[t][0]:
-                longest[t] = (dur, i)
-        return longest
-
-    def mask_can(self, mask: int) -> List[int]:
-        """Every wire's cancellation state once all directions are fixed."""
-        longest = self.longest(mask)
-        return [WITNESSED if q in longest and sq <= longest[q][0] else NEVER for q, sq in enumerate(self.sq)]
 
 
 def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
@@ -255,7 +229,9 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
     top = fb * nq + low_bits
     seen: Dict[int, int] = {}  # state -> least placed mask that expanded it
     placed: List[int] = []
-    best = best_mask = best_perm = None
+    # The incumbent's folded key (module docstring), above every leaf's.
+    best = (horizon + 1) << mc
+    best_perm: Optional[Tuple[int, ...]] = None
 
     def field(q: int) -> int:
         return ((ready[q] << 3) | ((pending[q] is not None) << 2) | can[q]) << shift[q]
@@ -269,13 +245,17 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
     owed = [owe(q) for q in range(nq)]
 
     def dfs(unplaced: int, allowed: int, wires_key: int, mask: int) -> None:
-        nonlocal best, best_mask, best_perm
+        nonlocal best, best_perm
         if not unplaced:
             key = -weight * leaf.canceled
             if timed:
-                key += max(map(sub, leaf.wire_ends(), deadline))
-            if best is None or key < best or (key == best and mask < best_mask):
-                best, best_mask, best_perm = key, mask, tuple(placed)
+                # Each wire ends once its pending Hadamard runs.
+                key += max(
+                    r - dl if p is None else r + s - dl for r, p, s, dl in zip(ready, pending, sq, deadline)
+                )
+            key = (key << mc) + mask
+            if key < best:
+                best, best_perm = key, tuple(placed)
             return
         state = wires_key | (((leaf.canceled << mc) | unplaced) << mc) | allowed
         # Ends still owed to crosstalk partners; unplaced fixes which.
@@ -287,13 +267,12 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
         if seen.get(state, mask + 1) <= mask:
             return  # expanded before under a mask no larger
         seen[state] = mask
-        if best is not None:
-            lb = -weight * (leaf.canceled + 2 * unplaced.bit_count())
-            if timed:
-                lb += max(map(add, ready, owed))
-            # Every leaf below has a mask of at least the placed one.
-            if lb > best or (lb == best and mask >= best_mask):
-                return
+        lb = -weight * (leaf.canceled + 2 * unplaced.bit_count())
+        if timed:
+            lb += max(map(add, ready, owed))
+        # Every leaf below extends the placed mask.
+        if (lb << mc) + mask >= best:
+            return
         for i in bits[allowed]:
             rest = unplaced & ~(1 << i)
             take(i, -1)
@@ -330,19 +309,28 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
     # dfs holds itself through its closure; unbinding it frees the table on
     # return instead of at the next full garbage collection.
     del dfs
-    assert best is not None, "model is always satisfiable"
-    return best_mask, best_perm
+    assert best_perm is not None, "model is always satisfiable"
+    return best & ((1 << mc) - 1), best_perm
 
 
 def _vars_from_leaf(m: SchedModel, mask: int, perm: Tuple[int, ...]) -> ModelVars:
     """Replay one (direction mask, edge order) leaf into a full assignment."""
-    leaf = _Leaf(m, record=True)
-    leaf.start(leaf.mask_can(mask))
+    leaf = _Leaf(m)
+    # Per wire, (duration, index) of the longest CNOT targeting it under
+    # mask, lowest index on ties: a Hadamard there cancels only if it fits
+    # inside that CNOT, which is also where a canceled Hadamard's
+    # containment witness sits.
+    longest: Dict[int, Tuple[int, int]] = {}
+    for i, opts in enumerate(leaf.dirs):
+        _, t, dur = opts[(mask >> i) & 1]
+        if t not in longest or dur > longest[t][0]:
+            longest[t] = (dur, i)
+    leaf.start([WITNESSED if q in longest and sq <= longest[q][0] else NEVER for q, sq in enumerate(leaf.sq)])
     for i in perm:
         leaf.place(i, (mask >> i) & 1)
-    leaf.wire_ends()
-    windows = leaf.windows
-    longest = leaf.longest(mask)
+    for q, gid in enumerate(leaf.pending):
+        if gid is not None:
+            leaf._run(gid, q)
     c_bits = {i: bool((mask >> i) & 1) for i in range(m.num_cnots)}
     s_map: Dict[int, Fraction] = {}
     t_map: Dict[int, Fraction] = {}
@@ -350,18 +338,19 @@ def _vars_from_leaf(m: SchedModel, mask: int, perm: Tuple[int, ...]) -> ModelVar
 
     for gate in m.gates:
         gid = gate.id
-        if gate.kind == "h":
-            b_map[gid] = gid in leaf.canceled_ids
-        if gid in windows:
-            s, t = windows[gid]
-            s_map[gid], t_map[gid] = Fraction(s), Fraction(t)
-        else:
+        if gate.kind == "cnot":
+            end = leaf.cnot_end[gid]
+            s_map[gid], t_map[gid] = Fraction(end - leaf.dirs[gid][c_bits[gid]][2]), Fraction(end)
+            continue
+        (q,) = resolved_wires(m, gate, c_bits)
+        start = leaf.start_of[gid]
+        b_map[gid] = start is None
+        if start is None:
             # Ghost window of a canceled Hadamard: at the start of its
             # wire's longest targeting CNOT, the containment witness.
-            (q,) = resolved_wires(m, gate, c_bits)
-            ws = windows[longest[leaf.index[q]][1]][0]
-            s_map[gid] = Fraction(ws)
-            t_map[gid] = Fraction(ws + m.sq_dur[q])
+            dur, j = longest[leaf.index[q]]
+            start = leaf.cnot_end[j] - dur
+        s_map[gid], t_map[gid] = Fraction(start), Fraction(start + m.sq_dur[q])
     return ModelVars(C=c_bits, S=s_map, T=t_map, B=b_map)
 
 

@@ -88,4 +88,10 @@ def embeddings_iter(
             yield from extend(i + 1)
             used.discard(h)
 
-    yield from extend(0)
+    try:
+        yield from extend(0)
+    finally:
+        # extend holds itself through its closure; unbinding it frees the
+        # search on return (or on close) instead of at the next full
+        # garbage collection.
+        del extend

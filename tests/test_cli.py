@@ -256,6 +256,23 @@ class TestMalformedInput:
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "deeply-nested"])
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["place", "--graph", "{f}"], "graph"),
+            (["compile", "--graph", "linear:3", "--cal", "{f}"], "calibration"),
+            (["simulate", "--circuit", "{f}"], "circuit"),
+        ],
+    )
+    def test_unreadable_json_file_exit_1(self, tmp_path, capsys, argv, kind, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code, _, err = run_main([a.format(f=path) for a in argv], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"gscompile: malformed {kind} file {path}: ")
+
     def test_huge_n_graph_file_exit_1(self, tmp_path, capsys):
         """Too few edges to connect n vertices is rejected before anything
         of size n is built."""
@@ -394,6 +411,17 @@ class TestExternalSolver:
         assert code == 1
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert named in err and "Traceback" not in err
+
+    def test_output_not_utf8_exit_1(self, capsys, sym3_path):
+        # A fake solver answers sat, then bytes that are not UTF-8.
+        script = "import sys; sys.stdout.buffer.write(b'sat\\n\\xff\\xfe')"
+        fake = shlex.join([sys.executable, "-c", script])
+        code, _, err = run_main(
+            ["compile", "--graph", "linear:3", "--cal", sym3_path, "--external-solver", fake], capsys
+        )
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("gscompile: external solver output is not UTF-8: ")
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from gscompile.errors import CapExceededError
 from gscompile.graphs import builtin_graph, fig1_seven, linear_graph, ring_graph, star_graph
 from gscompile.model import Objective, ObjectiveKind, build_model, check_solution
 from gscompile.oracle import ORACLE_CAP, oracle_search, oracle_sweep
-from gscompile.placement import best_placement
+from gscompile.placement import best_placement, enumerate_embeddings
 from gscompile.solver import solve_exact
 
 from conftest import (
@@ -276,3 +277,29 @@ def test_smt_runtime_golden_linear10():
             s.objective_value, sorted(v.C.items()), sorted(v.S.items()), sorted(v.T.items()), sorted(v.B.items())
         )).encode())
     assert h.hexdigest() == "0c9157aece2144fb3bf192ae0884da868a6ce06ca454dfa83a80a8bc029cabd7"
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # The recursive searches of placement, subiso and the solver hold
+    # themselves through their closures. Each unbinds itself on return, so
+    # a call leaves nothing for the cyclic collector, whose next full pass
+    # would otherwise be what frees the search's tables.
+    cal = load_calibration(sample_calibration_path())
+    g = linear_graph(8)
+    m = build_model(g, best_placement(g, cal), cal, Objective(ObjectiveKind.SMT_RUNTIME))
+    calls = {
+        "best_placement": lambda: best_placement(g, cal),
+        "enumerate_embeddings": lambda: list(enumerate_embeddings(g, cal)),
+        "enumerate_embeddings closed early": lambda: next(enumerate_embeddings(g, cal)),
+        "solve_exact": lambda: solve_exact(m),
+    }
+    left = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(calls, 0)
