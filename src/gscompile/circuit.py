@@ -184,13 +184,24 @@ def _int_field(value, name: str) -> int:
     return value
 
 
+def _time_field(value, name: str) -> int:
+    """An integer nanosecond time that converts to a float: the noise model
+    turns idle gaps into floats."""
+    value = _int_field(value, name)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"circuit file: {name} is beyond float range") from None
+    return value
+
+
 def circuit_from_json(data: dict) -> TimedCircuit:
     """Rebuild a circuit from its JSON form; a malformed field is a
     ValidationError that names it."""
     if not isinstance(data, dict) or set(data) != {"n", "placement", "makespan_ns", "gates"}:
         raise ValidationError("circuit file must have keys n, placement, makespan_ns, gates")
     n = _int_field(data["n"], "n")
-    makespan = _int_field(data["makespan_ns"], "makespan_ns")
+    makespan = _time_field(data["makespan_ns"], "makespan_ns")
     placement = data["placement"]
     if not (isinstance(placement, list) and all(_is_int(q) for q in placement)
             and len(set(placement)) == n == len(placement)):
@@ -214,8 +225,8 @@ def circuit_from_json(data: dict) -> TimedCircuit:
             raise ValidationError(
                 f"circuit file: gates[{k}].wires {wires!r} must be {arity} distinct qubits of the placement"
             )
-        start = _int_field(g.get("start_ns"), f"gates[{k}].start_ns")
-        end = _int_field(g.get("end_ns"), f"gates[{k}].end_ns")
+        start = _time_field(g.get("start_ns"), f"gates[{k}].start_ns")
+        end = _time_field(g.get("end_ns"), f"gates[{k}].end_ns")
         if start < 0:
             raise ValidationError(f"circuit file: gates[{k}].start_ns {start} is before time 0")
         gates.append(TimedGate(kind, tuple(wires), Fraction(start), Fraction(end)))

@@ -194,11 +194,12 @@ def _is_int(x) -> bool:
 
 
 def _read_json(path, what: str):
-    """Parse a UTF-8 JSON input file. Bytes that are not UTF-8, malformed JSON
-    and nesting too deep to parse raise ValidationError naming the file."""
+    """Parse a UTF-8 JSON input file. Bytes that are not UTF-8, malformed JSON,
+    integers longer than Python converts from text and nesting too deep to
+    parse raise ValidationError naming the file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
         raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
 
 

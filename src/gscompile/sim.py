@@ -1,5 +1,10 @@
 """Stabilizer verification and noisy fidelity estimation for timed circuits.
 
+This module needs no numpy. Only a sampled ``estimate_fidelity`` and
+``density_oracle`` load it, by importing their kernels from
+``gscompile.frames`` once per call; placing, solving, deriving, the tableau
+check and the analytic estimate never do.
+
 Ideal verification runs the circuit on a stabilizer tableau and checks that
 stabilizers have expectation +1. The tableau keeps one integer bitmask per
 qubit for its X and for its Z bits (bit k is row k) plus a sign mask.
@@ -13,11 +18,9 @@ span it anticommutes with some row (expectation 0); on it, the one group
 element with its bits gives the sign. Noisy estimation is a Pauli-frame
 Monte Carlo: one measurement setting per stabilizer element, depolarizing
 noise after gates, idle dephasing in the schedule's gaps, readout confusion,
-and optional unbiased readout mitigation. A frame is one boolean row per
-qubit for its X part and one for its Z part, each holding every shot, so a
-gate or a fault is a few whole-row operations and a CNOT fault touches only
-the shots it hits. A dense density-matrix oracle replays the exact same event
-stream for small systems.
+and optional unbiased readout mitigation. Both the sampler and the dense
+density-matrix oracle for small systems replay the one event stream built
+here.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .circuit import TimedCircuit
 from .device import DeviceCalibration
@@ -90,6 +91,18 @@ def simulate_ideal(c: TimedCircuit) -> Tableau:
     return tab
 
 
+def _transpose(cols: List[int]) -> List[int]:
+    """Row masks of a square bit matrix given as column masks: bit q of row
+    k is bit k of column q. Only the set bits of each column are visited."""
+    rows = [0] * len(cols)
+    for q, col in enumerate(cols):
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << q
+            col ^= low
+    return rows
+
+
 def _canonical(tab: Tableau) -> Tuple[Tuple[int, int, int, int], ...]:
     """Reduced row echelon form of the stabilizer rows over the 2n symplectic
     columns, X block first, as (pivot column, X mask, Z mask, sign bit)
@@ -101,14 +114,8 @@ def _canonical(tab: Tableau) -> Tuple[Tuple[int, int, int, int], ...]:
     if tab.canon is not None:
         return tab.canon
     n = tab.n
-    rows = [
-        (
-            sum(((col >> k) & 1) << q for q, col in enumerate(tab.x)),
-            sum(((col >> k) & 1) << q for q, col in enumerate(tab.z)),
-            (tab.r >> k) & 1,
-        )
-        for k in range(n)
-    ]
+    xs, zs = _transpose(tab.x), _transpose(tab.z)
+    rows = [(xs[k], zs[k], tab.r >> k & 1) for k in range(n)]
     sym = [x | z << n for x, z, _ in rows]
     flip = [z | x << n for x, z, _ in rows]
     for i in range(n):
@@ -280,28 +287,6 @@ def _rotated_tableau(tab: Tableau, element: PauliString) -> Tableau:
     return t
 
 
-def _outcome_sampler(tab: Tableau):
-    """All-qubit Z-measurement distribution of a stabilizer state.
-
-    Outcomes are uniform over an affine subspace: returns (b0, basis) with
-    b0 a particular outcome and basis rows spanning the free directions.
-    They are read off the pure-Z rows of the canonical form: the row with
-    pivot Z_j fixes b[j] given the free bits, whose own value in b0 is 0.
-    """
-    n = tab.n
-    zrows = {col - n: (z, neg) for col, _, z, neg in _canonical(tab) if col >= n}
-    b0 = np.zeros(n, dtype=np.uint8)
-    for j, (_, neg) in zrows.items():
-        b0[j] = neg
-    free = [j for j in range(n) if j not in zrows]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for bi, fj in enumerate(free):
-        basis[bi, fj] = 1
-        for j, (z, _) in zrows.items():
-            basis[bi, j] = (z >> fj) & 1
-    return b0, basis
-
-
 def _mitigation_weights(p01: float, p10: float) -> Tuple[float, float]:
     """Per-qubit weights w(observed bit) with E[w] = (-1)^(true bit)."""
     det = 1.0 - p01 - p10
@@ -333,91 +318,6 @@ class NoisyEstimate:
     seed: int
     analytic: bool
     elements: Tuple[ElementEstimate, ...]
-
-
-# Fault bits of the drawn two-qubit Pauli code 1..15, one row per frame row
-# it flips: X then Z on the first wire, X then Z on the second.
-_CX_FAULT_BITS = (np.arange(16) >> np.arange(4)[:, None] & 1).astype(bool)
-
-
-def _frame_apply_gate(fx, fz, kind: str, wires: Tuple[int, ...]) -> None:
-    if kind == "h":
-        v = wires[0]
-        fx[v], fz[v] = fz[v], fx[v]  # rows are separate arrays: swap, no copy
-    else:  # cx
-        cq, tq = wires
-        fx[tq] ^= fx[cq]
-        fz[cq] ^= fz[tq]
-
-
-def _frame_noise(fx, fz, rng, kind: str, wires: Tuple[int, ...], p: float) -> None:
-    if p <= 0:
-        return
-    shots = len(fx[0])
-    if kind == "idle":
-        fz[wires[0]] ^= rng.random(shots) < p
-    elif kind == "h":
-        u = rng.random(shots)
-        v = wires[0]
-        fx[v] ^= u < 2 * p / 3  # X or Y component
-        fz[v] ^= (u >= p / 3) & (u < p)  # Y or Z component
-    else:  # cx: uniform over the 15 non-identity two-qubit Paulis
-        hit = np.flatnonzero(rng.random(shots) < p)
-        bits = _CX_FAULT_BITS[:, rng.integers(1, 16, size=shots)[hit]]
-        a, b = wires
-        for row, flips in zip((fx[a], fz[a], fx[b], fz[b]), bits):
-            row[hit] ^= flips
-
-
-def _element_mc(
-    c: TimedCircuit,
-    noise: NoiseModel,
-    events,
-    ideal_tab: Tableau,
-    element: PauliString,
-    shots: int,
-    rng,
-    mitigate: bool,
-) -> ElementEstimate:
-    b0, basis = _outcome_sampler(_rotated_tableau(ideal_tab, element))
-
-    fx = [np.zeros(shots, dtype=bool) for _ in range(c.n)]  # one row per qubit
-    fz = [np.zeros(shots, dtype=bool) for _ in range(c.n)]
-    for kind, wires, p in events:
-        if kind != "idle":
-            _frame_apply_gate(fx, fz, kind, wires)
-        _frame_noise(fx, fz, rng, kind, wires, p)
-
-    # The basis change (H for X, S-dagger then H for Y) is noiseless, so a Z
-    # outcome is flipped by the rotated frame's X bit: the frame's Z bit
-    # under an X, X xor Z under a Y, its X bit under a Z.
-    support = [v for v in range(c.n) if (element.support() >> v) & 1]
-    ys, xs = element.x_mask & element.z_mask, element.x_mask & ~element.z_mask
-    bits = np.array([fx[v] ^ fz[v] if ys >> v & 1 else fz[v] if xs >> v & 1 else fx[v] for v in support])
-    bits ^= b0[support, None] != 0
-    if basis.shape[0]:
-        u = rng.integers(0, 2, size=(shots, basis.shape[0]), dtype=np.uint8)
-        for col, rows in zip(np.ascontiguousarray(u.T, dtype=bool), basis[:, support] != 0):
-            bits[rows] ^= col  # a free direction flips the outcomes its basis row covers
-
-    # One (k, shots) block of readout uniforms: the same numbers as k draws.
-    p01, p10 = np.array([noise.readout[c.placement[v]] for v in support]).T[:, :, None]
-    obs = bits ^ (rng.random((len(support), shots)) < np.where(bits, p10, p01))
-    parity = np.bitwise_xor.reduce(obs, axis=0)
-
-    def summarize(vals):
-        err = float(vals.std(ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
-        return float(vals.mean()), err
-
-    raw, err_raw = summarize(element.sign * (1.0 - 2.0 * parity.astype(np.float64)))
-    mit = err_mit = None
-    if mitigate:
-        weights = np.ones(shots, dtype=np.float64)  # multiplied in support order
-        for row, v in zip(obs, support):
-            w0, w1 = _mitigation_weights(*noise.readout[c.placement[v]])
-            weights *= np.where(row, w1, w0)
-        mit, err_mit = summarize(element.sign * weights)
-    return ElementEstimate(element.label, raw, mit, err_raw, err_mit)
 
 
 def _element_analytic(
@@ -486,20 +386,12 @@ def estimate_fidelity(
     ideal_tab = simulate_ideal(c)
     events = _event_stream(c, noise)
 
-    elements: List[ElementEstimate] = []
-    for k, element in enumerate(group):
-        if element.support() == 0:
-            one = float(element.sign)
-            elements.append(
-                ElementEstimate(element.label, one, one if mitigate else None, 0.0, 0.0 if mitigate else None)
-            )
-        elif analytic:
-            elements.append(_element_analytic(c, noise, ideal_tab, element, mitigate))
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            elements.append(
-                _element_mc(c, noise, events, ideal_tab, element, shots, rng, mitigate)
-            )
+    if analytic:  # the identity element's closed form is its sign
+        elements = [_element_analytic(c, noise, ideal_tab, element, mitigate) for element in group]
+    else:
+        from . import frames  # numpy: loaded once a noisy estimate is sampled
+
+        elements = frames.sample_elements(c, noise, events, ideal_tab, group, shots, seed, mitigate)
 
     m = len(elements)
     raw = sum(e.raw for e in elements) / m
@@ -524,40 +416,6 @@ def estimate_fidelity(
 # ---------------------------------------------------------------------------
 # Dense density-matrix oracle (small n)
 
-_I2 = np.eye(2, dtype=complex)
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def _embed_1q(op: np.ndarray, q: int, n: int) -> np.ndarray:
-    full = np.array([[1.0 + 0j]])
-    for j in range(n - 1, -1, -1):  # qubit 0 on the least significant bit
-        full = np.kron(full, op if j == q else _I2)
-    return full
-
-
-def _embed_cx(cq: int, tq: int, n: int) -> np.ndarray:
-    dim = 1 << n
-    u = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        m2 = m ^ (1 << tq) if (m >> cq) & 1 else m
-        u[m2, m] = 1.0
-    return u
-
-
-def _graph_statevector(c: TimedCircuit) -> np.ndarray:
-    n = c.n
-    dim = 1 << n
-    psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)  # H on every qubit
-    for u, v in c.graph.sorted_edges():
-        for m in range(dim):
-            if (m >> u) & 1 and (m >> v) & 1:
-                psi[m] = -psi[m]
-    return psi
-
-
 def density_oracle(c: TimedCircuit, noise: NoiseModel) -> float:
     """Exact <G|rho|G> by dense channel evolution, replaying the identical
     event order the Monte Carlo estimator uses (readout errors excluded: the
@@ -565,40 +423,7 @@ def density_oracle(c: TimedCircuit, noise: NoiseModel) -> float:
     n = c.n
     if n > DENSITY_CAP:
         raise CapExceededError(f"density oracle supports n <= {DENSITY_CAP}, got {n}")
-    dim = 1 << n
-    paulis = {
-        v: (_embed_1q(_X2, v, n), _embed_1q(_Y2, v, n), _embed_1q(_Z2, v, n))
-        for v in range(n)
-    }
+    events = _event_stream(c, noise)
+    from . import frames  # numpy: loaded only when noise is simulated
 
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    for kind, wires, p in _event_stream(c, noise):
-        if kind == "idle":
-            z = paulis[wires[0]][2]
-            rho = (1 - p) * rho + p * (z @ rho @ z)
-            continue
-        if kind == "h":
-            u = _embed_1q(_H2, wires[0], n)
-        else:
-            u = _embed_cx(wires[0], wires[1], n)
-        rho = u @ rho @ u.conj().T
-        if p > 0:
-            if kind == "h":
-                x, y, z = paulis[wires[0]]
-                rho = (1 - p) * rho + (p / 3) * (x @ rho @ x + y @ rho @ y + z @ rho @ z)
-            else:
-                mixed = np.zeros_like(rho)
-                eye = np.eye(dim, dtype=complex)
-                ops_a = (eye,) + paulis[wires[0]]
-                ops_b = (eye,) + paulis[wires[1]]
-                for ia in range(4):
-                    for ib in range(4):
-                        if ia == 0 and ib == 0:
-                            continue
-                        op = ops_a[ia] @ ops_b[ib]
-                        mixed += op @ rho @ op.conj().T
-                rho = (1 - p) * rho + (p / 15) * mixed
-
-    psi = _graph_statevector(c)
-    return float(np.real(psi.conj() @ rho @ psi))
+    return frames.density_fidelity(c, events)

@@ -256,7 +256,11 @@ class TestMalformedInput:
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert field in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000], ids=["not-utf8", "deeply-nested"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100000, b'{"n": ' + b"9" * 5000 + b"}"],
+        ids=["not-utf8", "deeply-nested", "huge-integer"],
+    )
     @pytest.mark.parametrize(
         "argv, kind",
         [
@@ -337,6 +341,35 @@ class TestMalformedInput:
         assert code == 1
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda c: c.update(makespan_ns=10**400), "makespan_ns"),
+            (lambda c: c["gates"][2].update(end_ns=10**400), "gates[2].end_ns"),
+            (lambda c: c["gates"][2].update(start_ns=10**400, end_ns=10**400 + 300), "gates[2].start_ns"),
+        ],
+    )
+    def test_time_beyond_float_range_exit_1(self, tmp_path, capsys, sym3_path, edit, field):
+        # An idle gap becomes a float in the noise model; a time with no
+        # float value is refused where the file is read.
+        data = {
+            "n": 2,
+            "placement": [0, 1],
+            "makespan_ns": 335,
+            "gates": [
+                {"kind": "h", "wires": [0], "start_ns": 0, "end_ns": 35},
+                {"kind": "h", "wires": [1], "start_ns": 0, "end_ns": 35},
+                {"kind": "cx", "wires": [0, 1], "start_ns": 35, "end_ns": 335},
+            ],
+        }
+        edit(data)
+        circ = tmp_path / "c.json"
+        circ.write_text(json.dumps(data))
+        argv = ["simulate", "--circuit", str(circ), "--noise-from", sym3_path, "--shots", "10"]
+        code, _, err = run_main(argv, capsys)
+        assert code == 1
+        assert err == f"gscompile: circuit file: {field} is beyond float range\n"
 
     def test_negative_seed_exit_1(self, tmp_path, capsys, sym3_path):
         circ = tmp_path / "c.json"
@@ -460,3 +493,47 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "gscompile 0.1.0" in proc.stdout
     assert "circuit=1" in proc.stdout
+
+
+NUMPY_FREE_COMPILE = """
+import json, sys
+import gscompile
+from gscompile import cli
+
+code = cli.main(["compile", "--graph", "linear:4", "--out", sys.argv[1]])
+after_compile = "numpy" in sys.modules
+
+from gscompile.circuit import load_circuit
+from gscompile.device import load_calibration, sample_calibration_path
+from gscompile.sim import NoiseModel, estimate_fidelity
+
+noise = NoiseModel.from_calibration(load_calibration(sample_calibration_path()))
+est = estimate_fidelity(load_circuit(sys.argv[1]), noise, shots=200, seed=3, mitigate=True)
+print(json.dumps({
+    "code": code,
+    "numpy_after_compile": after_compile,
+    "numpy_after_estimate": "numpy" in sys.modules,
+    "fidelity_raw": est.fidelity_raw,
+    "stderr_raw": est.stderr_raw,
+    "elements": len(est.elements),
+}))
+"""
+
+
+def test_compile_does_not_load_numpy(tmp_path):
+    # A fresh interpreter: place, solve, derive and the tableau check run
+    # without numpy; the first sampled estimate loads it.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("GSCOMPILE_CALIBRATION", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_COMPILE, str(tmp_path / "c.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == 0
+    assert got["numpy_after_compile"] is False
+    assert got["numpy_after_estimate"] is True
+    assert 0.0 < got["fidelity_raw"] <= 1.0 and got["stderr_raw"] > 0.0
+    assert got["elements"] == 16

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gscompile import sim
+from gscompile import frames, sim
 from gscompile.circuit import circuit_from_json, derive_circuit, naive_circuit
 from gscompile.errors import CapExceededError, ValidationError
+from gscompile.frames import _outcome_sampler
 from gscompile.graphs import (
     PauliString,
     builtin_graph,
@@ -24,7 +25,6 @@ from gscompile.sim import (
     NoiseModel,
     Tableau,
     _mitigation_weights,
-    _outcome_sampler,
     _rotated_tableau,
     density_oracle,
     estimate_fidelity,
@@ -419,6 +419,20 @@ def reference_circuit(name, form):
     return compiled(g, cal) if form == "compiled" else naive_circuit(g, identity_embedding(g), cal)
 
 
+def test_estimate_golden():
+    # Sampled estimates under full noise, raw and mitigated, on a compiled
+    # and a naive circuit: hashed with every per-element value, so the
+    # sampler's draws and arithmetic are pinned bit for bit.
+    h = hashlib.sha256()
+    g = linear_graph(4)
+    cal = graph_calibration(g, **NOISY)
+    noise = NoiseModel.from_calibration(cal)
+    for c in (compiled(g, cal), naive_circuit(g, identity_embedding(g), cal)):
+        for mitigate in (False, True):
+            h.update(repr(estimate_fidelity(c, noise, shots=500, seed=17, mitigate=mitigate)).encode())
+    assert h.hexdigest() == "4b831bfd2b7c3e519227fa8c5f7a375147ad607abc366cb680981204d2af2110"
+
+
 class TestFrameKernelReference:
     @pytest.mark.parametrize(
         "name, form",
@@ -438,7 +452,7 @@ class TestFrameKernelReference:
             for shots in (1, 500):
                 got = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
                 with monkeypatch.context() as mp:
-                    mp.setattr(sim, "_element_mc", reference_element_mc)
+                    mp.setattr(frames, "_element_mc", reference_element_mc)
                     want = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
                 assert got == want
 
