@@ -49,10 +49,6 @@ class PauliString:
     def support(self) -> int:
         return self.x_mask | self.z_mask
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        s = (self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)
-        return s.bit_count() & 1 == 0
-
 
 def mul_phase(x1: int, z1: int, x2: int, z2: int) -> int:
     """Power of i in the product of the unsigned Paulis with masks (x1, z1)
@@ -64,22 +60,6 @@ def mul_phase(x1: int, z1: int, x2: int, z2: int) -> int:
     plus = (xo1 & y2) | (y1 & zo2) | (zo1 & xo2)
     minus = (y1 & xo2) | (zo1 & y2) | (xo1 & zo2)
     return plus.bit_count() - minus.bit_count()
-
-
-def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
-    """Product p*q with full {+-1, +-i} phase bookkeeping (``mul_phase``).
-
-    The stabilizer tableau in ``sim`` multiplies its rows with it. Graph-state
-    stabilizer products are Hermitian, so the result must land on a real
-    sign; an imaginary phase is raised as an internal error.
-    """
-    if p.n != q.n:
-        raise ValidationError("Pauli size mismatch")
-    x1, z1, x2, z2 = p.x_mask, p.z_mask, q.x_mask, q.z_mask
-    phase = mul_phase(x1, z1, x2, z2) + (p.sign < 0) * 2 + (q.sign < 0) * 2
-    if phase % 2:
-        raise AssertionError("Pauli product has imaginary phase; non-Hermitian result")
-    return PauliString(p.n, x1 ^ x2, z1 ^ z2, 1 if phase % 4 == 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -115,9 +95,6 @@ class GraphSpec:
 
     def adjacency(self) -> Dict[int, FrozenSet[int]]:
         return adjacency(self.n, self.edges)
-
-    def neighbors(self, v: int) -> FrozenSet[int]:
-        return self.adjacency()[v]
 
     def sorted_edges(self) -> List[Tuple[int, int]]:
         return sorted(self.edges)
@@ -226,8 +203,10 @@ def stabilizer_group(g: GraphSpec) -> List[PauliString]:
             f"stabilizer group for n={g.n} exceeds cap {STABILIZER_GROUP_CAP}; "
             f"fidelity estimation needs at most {STABILIZER_GROUP_CAP} qubits"
         )
-    gens = stabilizer_generators(g)
-    group = [PauliString(g.n, 0, 0, 1)]
-    for gen in gens:
-        group.extend(pauli_mul(el, gen) for el in list(group))
-    return group
+    # (x mask, z mask, sign bit) per element; the elements commute, so each
+    # product's power of i is even and only its half flips the sign.
+    group = [(0, 0, 0)]
+    for gen in stabilizer_generators(g):
+        gx, gz = gen.x_mask, gen.z_mask
+        group += [(x ^ gx, z ^ gz, (s + (mul_phase(x, z, gx, gz) >> 1)) & 1) for x, z, s in group]
+    return [PauliString(g.n, x, z, -1 if s else 1) for x, z, s in group]

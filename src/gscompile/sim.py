@@ -217,22 +217,16 @@ class NoiseModel:
 
     @classmethod
     def noiseless(cls, cal: DeviceCalibration) -> "NoiseModel":
-        return cls.from_calibration(cal).without_gate_noise().without_readout_noise()
+        return replace(cls.readout_only(cal), readout={q.index: (0.0, 0.0) for q in cal.qubits})
 
     @classmethod
     def readout_only(cls, cal: DeviceCalibration) -> "NoiseModel":
-        return cls.from_calibration(cal).without_gate_noise()
-
-    def without_gate_noise(self) -> "NoiseModel":
         return replace(
-            self,
-            sq_error={q: 0.0 for q in self.sq_error},
-            cx_error={p: 0.0 for p in self.cx_error},
-            coherence_ns={q: math.inf for q in self.coherence_ns},
+            cls.from_calibration(cal),
+            sq_error={q.index: 0.0 for q in cal.qubits},
+            cx_error={c.pair: 0.0 for c in cal.couplers},
+            coherence_ns={q.index: math.inf for q in cal.qubits},
         )
-
-    def without_readout_noise(self) -> "NoiseModel":
-        return replace(self, readout={q: (0.0, 0.0) for q in self.readout})
 
 
 def _dephase_prob(gap_ns: float, coherence_ns: float) -> float:

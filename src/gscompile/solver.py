@@ -13,12 +13,13 @@ long, which can hinge on unplaced edges, so each wire carries a state: such
 a CNOT witnesses it; the first shorter one to meet a pending Hadamard on an
 undecided wire branches on "assumed" (dropped once no unplaced edge can
 witness it) and "never" (dropped when a witness is placed), so each leaf is
-reached on exactly one branch. A transposition table skips expanded states,
-keyed on the unplaced edges, the edges allowed next (fixed by those and the
-last edge), per-wire ready time, pending bit and cancellation state, the
-cancel count, and the ends of placed CNOTs with unplaced crosstalk partners.
-Bounds are per-wire critical paths: ready time, the shorter duration of each
-unplaced edge there, and Hadamards that must still run.
+reached on exactly one branch. Bounds are per-wire critical paths: ready
+time, the shorter duration of each unplaced edge there, and Hadamards that
+must still run. A transposition table, consulted only at inner nodes the
+bound keeps, skips expanded states, keyed on the unplaced edges, the edges
+allowed next (fixed by those and the last edge), per-wire ready time, pending
+bit and cancellation state, the cancel count, and the ends of placed CNOTs
+with unplaced crosstalk partners.
 
 First leaf: the result is the first optimal leaf in mask-ascending,
 lexicographic order, the brute-force oracle's tie-break. The search carries
@@ -27,15 +28,19 @@ below extends, and its incumbent is one integer: a leaf's folded key
 (key << mc) + mask, for mc CNOTs. The fold rests on two facts. The mask is
 below 1 << mc, so a smaller folded key is a smaller key, or an equal key
 under a smaller mask. Every leaf key is at most horizon (One key, below), so
-the incumbent starts at (horizon + 1) << mc, above every folded key. A leaf
-replaces the incumbent when its folded key is smaller, so of two equal ones
-the first met stays. A subtree is entered only while
-(bound << mc) + placed mask is below the incumbent, since every leaf below
-has a key of at least the bound and a mask of at least the placed one.
+the incumbent starts at (horizon + 1) << mc, above every folded key. A node
+returns unless (bound << mc) + placed mask is below the incumbent, since
+every leaf below has a key of at least the bound and a mask of at least the
+placed one. The bound is the key at a leaf (One key, below), so a leaf that
+passes has the smaller folded key and replaces the incumbent; of two equal
+ones the first met stays.
 Within one mask the search meets leaves in lexicographic edge order: edges
 are tried ascending and the mask fixes every direction, so two leaves of one
 mask part where their orders first differ, and the smaller edge there comes
 first. The table maps each state to the least placed mask that expanded it.
+A pruned state needs no entry: the bound is a function of the state and the
+incumbent only falls, so met again under a mask no smaller the state is
+pruned again, and under a smaller mask the table would re-expand it anyway.
 A state that comes back under a mask no smaller is skipped: the same placed
 edges under equal bits differ first in an edge index, where the earlier path
 had the smaller one, so each leaf below is matched by one covered before
@@ -59,9 +64,11 @@ is ordering by (most cancellations, then shortest makespan). Bound: no
 leaf below a node cancels more than canceled + 2 * unplaced Hadamards, and
 none ends before the wire bound; the weight is not negative, so
 -weight * (canceled + 2 * unplaced), plus the wire bound when timed, is at
-most every key below. The key is never reported: solve_exact replays the
-leaf and reads the value off the assignment with objective_value_of, as it
-does for an external solver's model.
+most every key below. It is exact at a leaf: with nothing unplaced every
+load is 0 and every pending Hadamard is owed, and the cancellation term is
+-weight * canceled, so the bound equals the key. The key is never reported:
+solve_exact replays the leaf and reads the value off the assignment with
+objective_value_of, as it does for an external solver's model.
 
 Time is integral: for `decoherence` the search scales coherences by the LCM
 of their denominators (1 when all are integral); the replay runs in ns.
@@ -242,20 +249,21 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
         h = sq[q] if pending[q] is not None and (can[q] == NEVER or not on_wire[q]) else 0
         return load[q] + h - deadline[q]
 
+    # owed[q] is current for every wire whenever dfs is entered (each step
+    # recomputes its edge's two wires), as the bound at a leaf needs.
     owed = [owe(q) for q in range(nq)]
 
     def dfs(unplaced: int, allowed: int, wires_key: int, mask: int) -> None:
         nonlocal best, best_perm
+        lb = -weight * (leaf.canceled + 2 * unplaced.bit_count())
+        if timed:
+            lb += max(map(add, ready, owed))
+        # Every leaf below extends the placed mask; at a leaf lb is its key.
+        lb = (lb << mc) + mask
+        if lb >= best:
+            return
         if not unplaced:
-            key = -weight * leaf.canceled
-            if timed:
-                # Each wire ends once its pending Hadamard runs.
-                key += max(
-                    r - dl if p is None else r + s - dl for r, p, s, dl in zip(ready, pending, sq, deadline)
-                )
-            key = (key << mc) + mask
-            if key < best:
-                best, best_perm = key, tuple(placed)
+            best, best_perm = lb, tuple(placed)
             return
         state = wires_key | (((leaf.canceled << mc) | unplaced) << mc) | allowed
         # Ends still owed to crosstalk partners; unplaced fixes which.
@@ -267,12 +275,6 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
         if seen.get(state, mask + 1) <= mask:
             return  # expanded before under a mask no larger
         seen[state] = mask
-        lb = -weight * (leaf.canceled + 2 * unplaced.bit_count())
-        if timed:
-            lb += max(map(add, ready, owed))
-        # Every leaf below extends the placed mask.
-        if (lb << mc) + mask >= best:
-            return
         for i in bits[allowed]:
             rest = unplaced & ~(1 << i)
             take(i, -1)
