@@ -29,7 +29,7 @@ from .errors import (
     SolutionError,
     ValidationError,
 )
-from .graphs import builtin_graph, load_graph
+from .graphs import builtin_graph, builtin_size, load_graph
 from .model import (
     Objective,
     ObjectiveKind,
@@ -40,7 +40,7 @@ from .model import (
     parse_external_solution,
 )
 from .oracle import oracle_sweep
-from .placement import best_placement
+from .placement import best_placement, check_size
 from .sim import NoiseModel, estimate_fidelity, verify_graph_state
 from .solver import solve_exact
 
@@ -60,9 +60,12 @@ def _err(msg: str) -> None:
     print(f"gscompile: {msg}", file=sys.stderr)
 
 
-def _resolve_graph(spec: str):
+def _resolve_graph(spec: str, cal):
+    """A graph file, or a builtin name refused before its edges are built
+    when it has more vertices than the device has qubits."""
     if "/" in spec or spec.endswith(".json") or os.path.exists(spec):
         return load_graph(spec)
+    check_size(builtin_size(spec), cal)
     return builtin_graph(spec)
 
 
@@ -90,8 +93,8 @@ def _write_or_stdout(text: str, out) -> None:
 
 
 def _build_instance(args):
-    g = _resolve_graph(args.graph)
     cal = _resolve_calibration(args.cal)
+    g = _resolve_graph(args.graph, cal)
     e = best_placement(g, cal)
     obj = Objective(_OBJECTIVES[args.objective], crosstalk_free=args.crosstalk_free)
     return g, cal, e, build_model(g, e, cal, obj)
@@ -159,8 +162,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_place(args) -> int:
-    g = _resolve_graph(args.graph)
     cal = _resolve_calibration(args.cal)
+    g = _resolve_graph(args.graph, cal)
     e = best_placement(g, cal)
     print(json.dumps({"mapping": list(e.mapping), "score": e.score}, indent=2))
     return 0

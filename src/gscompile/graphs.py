@@ -134,10 +134,10 @@ def fig1_seven() -> GraphSpec:
     return graph_from_edges(7, [(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)])
 
 
-def builtin_graph(name: str) -> GraphSpec:
-    """Resolve a builtin graph name: linear:<n>, ring:<n>, star:<n>, fig1-seven."""
+def _parse_builtin(name: str):
+    """(factory, vertex count) of a builtin graph name; nothing is built yet."""
     if name == "fig1-seven":
-        return fig1_seven()
+        return lambda n: fig1_seven(), 7
     if ":" in name:
         kind, _, arg = name.partition(":")
         try:
@@ -146,8 +146,19 @@ def builtin_graph(name: str) -> GraphSpec:
             raise ValidationError(f"bad graph size in {name!r}")
         factory = {"linear": linear_graph, "ring": ring_graph, "star": star_graph}.get(kind)
         if factory is not None:
-            return factory(n)
+            return factory, n
     raise ValidationError(f"unknown builtin graph {name!r}")
+
+
+def builtin_size(name: str) -> int:
+    """Vertex count of a builtin graph name, without building its edges."""
+    return _parse_builtin(name)[1]
+
+
+def builtin_graph(name: str) -> GraphSpec:
+    """Resolve a builtin graph name: linear:<n>, ring:<n>, star:<n>, fig1-seven."""
+    factory, n = _parse_builtin(name)
+    return factory(n)
 
 
 def load_graph(path) -> GraphSpec:

@@ -58,8 +58,20 @@ def score_embedding(e: Embedding, g: GraphSpec, cal: DeviceCalibration) -> float
     return score
 
 
+def _not_native(n: int, cal: DeviceCalibration) -> NotNativeError:
+    return NotNativeError(f"graph with {n} vertices is not native to device '{cal.snapshot_label}'")
+
+
+def check_size(n: int, cal: DeviceCalibration) -> None:
+    """Refuse a graph with more vertices than the device has qubits, before
+    anything is built for it."""
+    if n > len(cal.qubits):
+        raise _not_native(n, cal)
+
+
 def best_placement(g: GraphSpec, cal: DeviceCalibration) -> Embedding:
     """Globally best-scoring embedding; ties break on the smaller mapping tuple."""
+    check_size(g.n, cal)
     plan = SearchPlan(g.n, g.edges, topology_graph(cal))
     qubit_f = {q.index: 1.0 - q.sq_error for q in cal.qubits}
     coupler_f = {p: 1.0 - c.error for c in cal.couplers for p in ((c.a, c.b), (c.b, c.a))}
@@ -97,5 +109,5 @@ def best_placement(g: GraphSpec, cal: DeviceCalibration) -> Embedding:
     extend(0, 1.0, len(g.edges))
     del extend  # unbinds its self-reference, as for subiso.embeddings_iter
     if best is None:
-        raise NotNativeError(f"graph with {g.n} vertices is not native to device '{cal.snapshot_label}'")
+        raise _not_native(g.n, cal)
     return best

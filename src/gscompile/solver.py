@@ -19,7 +19,9 @@ must still run. A transposition table, consulted only at inner nodes the
 bound keeps, skips expanded states, keyed on the unplaced edges, the edges
 allowed next (fixed by those and the last edge), per-wire ready time, pending
 bit and cancellation state, the cancel count, and the ends of placed CNOTs
-with unplaced crosstalk partners.
+with unplaced crosstalk partners. `cancellation`'s key leaves out the ready
+times and the ends: under that objective nothing reads time, and whether a
+step cancels depends only on the pending bits and states.
 
 First leaf: the result is the first optimal leaf in mask-ascending,
 lexicographic order, the brute-force oracle's tie-break. The search carries
@@ -60,15 +62,25 @@ negative, so every key is at most horizon. Packing: horizon <
 1 << field_bits, so two makespans differ by less than the weight. A leaf
 with more cancellations therefore has the smaller key whatever the two
 makespans, and between equal counts the makespan decides: ordering by key
-is ordering by (most cancellations, then shortest makespan). Bound: no
-leaf below a node cancels more than canceled + 2 * unplaced Hadamards, and
-none ends before the wire bound; the weight is not negative, so
--weight * (canceled + 2 * unplaced), plus the wire bound when timed, is at
-most every key below. It is exact at a leaf: with nothing unplaced every
-load is 0 and every pending Hadamard is owed, and the cancellation term is
--weight * canceled, so the bound equals the key. The key is never reported:
-solve_exact replays the leaf and reads the value off the assignment with
-objective_value_of, as it does for an external solver's model.
+is ordering by (most cancellations, then shortest makespan). Bound: each
+CNOT cancels at most one pair, on its target, so no leaf below a node
+cancels more than canceled + 2 * unplaced Hadamards. Tighter: only a CNOT
+targeting a wire sets its pending Hadamard, and one controlling it clears
+it, so the next CNOT to target a wire with none pending cancels nothing.
+An unplaced edge between two such wires targets one of them, and the edges
+of a matching share no wire, so each edge of a matching among those edges
+has its own such wire, whose next targeting CNOT is a CNOT of its own that
+cancels nothing. No leaf below therefore cancels more than canceled +
+2 * (unplaced - matching) Hadamards, for matching a greedy maximal matching
+in edge order (a function of the state: the pending bits and the unplaced
+edges are in its key). No leaf ends before the wire bound; the weight is not
+negative, so -weight * (canceled + 2 * (unplaced - matching)), plus the wire
+bound when timed, is at most every key below. It is exact at a leaf: with
+nothing unplaced every load is 0 and every pending Hadamard is owed, and the
+cancellation term is -weight * canceled, so the bound equals the key. The
+key is never reported: solve_exact replays the leaf and reads the value off
+the assignment with objective_value_of, as it does for an external solver's
+model.
 
 Time is integral: for `decoherence` the search scales coherences by the LCM
 of their denominators (1 when all are integral); the replay runs in ns.
@@ -202,9 +214,11 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
         dependent[i][j] = dependent[j][i] = True
     after = [sum(1 << i for i in range(mc) if i > j or dependent[i][j]) for j in range(mc)]
     after.append((1 << mc) - 1)
-    bits = [tuple(i for i in range(mc) if (s >> i) & 1) for s in range(1 << mc)]
-    # Key field per wire: ready << 3 | pending bit << 2 | state, in
-    # field_bits wide enough for a fully serial schedule.
+    # bits[s]: the edges in set s, ascending; doubled once per edge, since
+    # the sets holding edge k are those below it plus k.
+    bits = [()]
+    for k in range(mc):
+        bits += [edges + (k,) for edges in bits]
     horizon = sum(max(d[2] for d in opts) for opts in dirs)
     horizon += (m.graph.n + 2 * mc) * max(sq, default=0)
     fb = horizon.bit_length() + 3
@@ -219,45 +233,50 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
     # Per wire: CNOT time owed, unplaced edges on it (each may target
     # it), and edges with a direction long enough to witness it.
     load, on_wire, witnesses = [0] * nq, [0] * nq, [0] * nq
-
-    def take(i: int, sign: int) -> None:  # add (1) or remove (-1) edge i
-        for q in wires_of[i]:
-            load[q] += sign * edge_load[i]
-            on_wire[q] += sign
-
     for i in range(mc):
-        take(i, 1)
+        for q in wires_of[i]:
+            load[q] += edge_load[i]
+            on_wire[q] += 1
         for _, t, dur in dirs[i]:
             if dur >= sq[t]:
                 witnesses[t] |= 1 << i
-    xt_edges = [i for i in range(mc) if leaf.partners[i]]
+    # Key field per wire: ready << 3 | pending bit << 2 | state, in fb bits
+    # wide enough for a fully serial schedule; untimed, the ready time and
+    # the crosstalk ends are left out, as nothing reads them.
+    fw = fb if timed else 3
+    shift = [fw * q + low_bits for q in range(nq)]
+    top = fw * nq + low_bits
+    # Per edge: the pending bits of its two wires, and the key with both
+    # wires' fields cleared.
+    pending_bits = [(4 << shift[a]) | (4 << shift[b]) for a, b in wires_of]
+    field_mask = (1 << fw) - 1
+    clear = [((1 << top) - 1) ^ (field_mask << shift[a]) ^ (field_mask << shift[b]) for a, b in wires_of]
+    xt_edges = [i for i in range(mc) if leaf.partners[i]] if timed else []
     partner_mask = [sum(1 << j for j in leaf.partners[i]) for i in range(mc)]
-    shift = [fb * q + low_bits for q in range(nq)]
-    top = fb * nq + low_bits
     seen: Dict[int, int] = {}  # state -> least placed mask that expanded it
     placed: List[int] = []
     # The incumbent's folded key (module docstring), above every leaf's.
     best = (horizon + 1) << mc
     best_perm: Optional[Tuple[int, ...]] = None
-
-    def field(q: int) -> int:
-        return ((ready[q] << 3) | ((pending[q] is not None) << 2) | can[q]) << shift[q]
-
-    def owe(q: int) -> int:
-        # Wire q's least remaining time less its deadline: its pending
-        # Hadamard runs if the wire never cancels or no unplaced edge is on it.
-        h = sq[q] if pending[q] is not None and (can[q] == NEVER or not on_wire[q]) else 0
-        return load[q] + h - deadline[q]
-
-    # owed[q] is current for every wire whenever dfs is entered (each step
-    # recomputes its edge's two wires), as the bound at a leaf needs.
-    owed = [owe(q) for q in range(nq)]
+    # owed[q]: wire q's least remaining time less its deadline; its pending
+    # Hadamard runs if the wire never cancels or no unplaced edge is on it.
+    # It is current for every wire whenever dfs is entered (each step sets
+    # its edge's two wires and restores them after), as the bound at a leaf
+    # needs. At the root every wire has an unplaced edge.
+    owed = [load[q] - deadline[q] for q in range(nq)]
 
     def dfs(unplaced: int, allowed: int, wires_key: int, mask: int) -> None:
         nonlocal best, best_perm
-        lb = -weight * (leaf.canceled + 2 * unplaced.bit_count())
-        if timed:
-            lb += max(map(add, ready, owed))
+        lb = max(map(add, ready, owed)) if timed else 0
+        if weight:
+            # A greedy matching among unplaced edges with no pending
+            # Hadamard on either wire counts CNOTs that cancel nothing.
+            lost, taken = 0, wires_key
+            for i in bits[unplaced]:
+                if not taken & pending_bits[i]:
+                    taken |= pending_bits[i]
+                    lost += 1
+            lb -= weight * (leaf.canceled + 2 * (unplaced.bit_count() - lost))
         # Every leaf below extends the placed mask; at a leaf lb is its key.
         lb = (lb << mc) + mask
         if lb >= best:
@@ -277,7 +296,14 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
         seen[state] = mask
         for i in bits[allowed]:
             rest = unplaced & ~(1 << i)
-            take(i, -1)
+            a, b = wires_of[i]
+            el = edge_load[i]
+            load[a] -= el
+            load[b] -= el
+            on_wire[a] -= 1
+            on_wire[b] -= 1
+            owed_a, owed_b = owed[a], owed[b]
+            base = wires_key & clear[i]
             placed.append(i)
             for d in options[i]:
                 c, t, dur = dirs[i][d]
@@ -290,7 +316,6 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
                     states = (ASSUMED, NEVER)
                 else:
                     states = (prev,)
-                old = field(c) + field(t)
                 for state_t in states:
                     can[t] = state_t
                     if (state_t == ASSUMED and not witnesses[t] & rest) or (
@@ -298,16 +323,23 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
                     ):
                         continue  # no unplaced edge can witness the assumption
                     undo = leaf.place(i, d)
-                    owed[c], owed[t] = owe(c), owe(t)
-                    dfs(rest, rest & after[i], wires_key - old + field(c) + field(t), mask | d << i)
+                    # Both wires now end with the CNOT; c has no pending
+                    # Hadamard and t has its POST.
+                    end = ready[t] << 3 if timed else 0
+                    owed[c] = load[c] - deadline[c]
+                    owed[t] = load[t] - deadline[t] + (sq[t] if state_t == NEVER or not on_wire[t] else 0)
+                    key = base | (end | can[c]) << shift[c] | (end | 4 | state_t) << shift[t]
+                    dfs(rest, rest & after[i], key, mask | d << i)
                     leaf.unplace(i, undo)
                 can[t] = prev
             placed.pop()
-            take(i, 1)
-            a, b = wires_of[i]
-            owed[a], owed[b] = owe(a), owe(b)
+            load[a] += el
+            load[b] += el
+            on_wire[a] += 1
+            on_wire[b] += 1
+            owed[a], owed[b] = owed_a, owed_b
 
-    dfs((1 << mc) - 1, after[mc], sum(field(q) for q in range(nq)), 0)
+    dfs((1 << mc) - 1, after[mc], sum((pending[q] is not None) << 2 << shift[q] for q in range(nq)), 0)
     # dfs holds itself through its closure; unbinding it frees the table on
     # return instead of at the next full garbage collection.
     del dfs

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gscompile import cli
+from gscompile import cli, graphs
 from gscompile.circuit import circuit_to_json, derive_circuit, naive_circuit
 from gscompile.cli import main
 from gscompile.device import load_calibration, sample_calibration_path, save_calibration
@@ -89,6 +89,22 @@ class TestCompile:
         )
         assert code == 2
         assert "not native" in err
+
+    @pytest.mark.parametrize("command", ["compile", "place", "emit-smt"])
+    def test_oversized_builtin_refused_before_building(self, command, capsys, monkeypatch):
+        # A builtin graph larger than the device is refused by its name
+        # alone: linear:99999999999 would need 10^11 edges.
+        def never(n):
+            raise AssertionError(f"linear:{n} was built")
+
+        monkeypatch.setattr(graphs, "linear_graph", never)
+        monkeypatch.delenv("GSCOMPILE_CALIBRATION", raising=False)
+        code, stdout, err = run_main([command, "--graph", "linear:99999999999"], capsys)
+        assert code == 2
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("gscompile: graph with 99999999999 vertices is not native to device ")
 
     def test_cap_exceeded_exit_3_with_hint(self, capsys):
         code, _, err = run_main(

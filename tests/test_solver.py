@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gscompile import solver
 from gscompile.device import load_calibration, sample_calibration_path
 from gscompile.errors import CapExceededError
 from gscompile.graphs import builtin_graph, fig1_seven, linear_graph, ring_graph, star_graph
@@ -277,6 +278,31 @@ def test_smt_runtime_golden_linear10():
             s.objective_value, sorted(v.C.items()), sorted(v.S.items()), sorted(v.T.items()), sorted(v.B.items())
         )).encode())
     assert h.hexdigest() == "0c9157aece2144fb3bf192ae0884da868a6ce06ca454dfa83a80a8bc029cabd7"
+
+
+def test_search_work_pinned(monkeypatch):
+    # The children the exact search enters on the bundled device, one
+    # _Leaf.place call each: a change that prunes less fails here in the
+    # open. Before the pending-aware cancellation bound and the untimed
+    # cancellation key, these were 13,072 and 4,118.
+    cal = load_calibration(sample_calibration_path())
+    calls = 0
+    place = solver._Leaf.place
+
+    def counting_place(self, i, d):
+        nonlocal calls
+        calls += 1
+        return place(self, i, d)
+
+    monkeypatch.setattr(solver._Leaf, "place", counting_place)
+    counts = {}
+    for name, kind in (("linear:10", ObjectiveKind.SMT_RUNTIME), ("linear:11", ObjectiveKind.MAX_CANCELLATION)):
+        g = builtin_graph(name)
+        m = build_model(g, best_placement(g, cal), cal, Objective(kind))
+        calls = 0
+        solver._search(m)
+        counts[name, kind.value] = calls
+    assert counts == {("linear:10", "smt-runtime"): 9584, ("linear:11", "cancellation"): 2820}
 
 
 def test_searches_leave_no_cyclic_garbage():
