@@ -53,13 +53,15 @@ class PauliString:
 def mul_phase(x1: int, z1: int, x2: int, z2: int) -> int:
     """Power of i in the product of the unsigned Paulis with masks (x1, z1)
     and (x2, z2), in that order: the one Pauli product rule of the package.
-    Per qubit, XY, YZ and ZX contribute a factor +i and the reversed pairs
-    -i; the result is not reduced mod 4."""
-    y1, y2 = x1 & z1, x2 & z2
-    xo1, xo2, zo1, zo2 = x1 & ~z1, x2 & ~z2, z1 & ~x1, z2 & ~x2
-    plus = (xo1 & y2) | (y1 & zo2) | (zo1 & xo2)
-    minus = (y1 & xo2) | (zo1 & y2) | (xo1 & zo2)
-    return plus.bit_count() - minus.bit_count()
+    The unsigned Pauli with masks (x, z) is i^|x & z| X^x Z^z (Y = iXZ on
+    each qubit), and moving Z^z1 past X^x2 gives (-1)^|z1 & x2|, so the
+    product is i^(|x1 & z1| + |x2 & z2| + 2 |z1 & x2| - |x & z|) times the
+    unsigned Pauli with masks x = x1 ^ x2, z = z1 ^ z2. The result is not
+    reduced mod 4."""
+    return (
+        (x1 & z1).bit_count() + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count()
+        - ((x1 ^ x2) & (z1 ^ z2)).bit_count()
+    )
 
 
 @dataclass(frozen=True)

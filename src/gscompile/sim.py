@@ -147,18 +147,21 @@ def _canonical(tab: Tableau) -> Tuple[Tuple[int, int, int, int], ...]:
 def _member(canon: Tuple[Tuple[int, int, int, int], ...], x: int, z: int) -> Optional[int]:
     """Sign of the group element with X/Z masks (x, z), or None when no
     element has them. In reduced form only pivot row k has pivot column k,
-    so the element is the product of the rows whose pivots the bits hit;
-    it is accumulated as plain masks and a power of i."""
+    so the element is the product of the rows whose pivots the bits hit.
+    Its power of i is the sum of ``mul_phase`` over the steps, telescoped:
+    the -|x & z| of each partial product cancels the next step's +|x1 & z1|,
+    so each row adds |rx & rz| + 2 |az & rx| (az the partial product's Z
+    mask) and the element's |x & z| is taken off once at the end."""
     bits = x | z << len(canon)  # a full form has n rows
     ax = az = phase = 0
     for col, rx, rz, neg in canon:
         if bits >> col & 1:
-            phase += mul_phase(ax, az, rx, rz) + 2 * neg
+            phase += (rx & rz).bit_count() + 2 * ((az & rx).bit_count() + neg)
             ax ^= rx
             az ^= rz
     if ax != x or az != z:
         return None
-    return 1 if phase % 4 == 0 else -1
+    return 1 if (phase - (x & z).bit_count()) % 4 == 0 else -1
 
 
 def expectation(tab: Tableau, p: PauliString) -> int:

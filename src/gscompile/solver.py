@@ -14,8 +14,13 @@ a CNOT witnesses it; the first shorter one to meet a pending Hadamard on an
 undecided wire branches on "assumed" (dropped once no unplaced edge can
 witness it) and "never" (dropped when a witness is placed), so each leaf is
 reached on exactly one branch. Bounds are per-wire critical paths: ready
-time, the shorter duration of each unplaced edge there, and Hadamards that
-must still run. A transposition table, consulted only at inner nodes the
+time, the shorter duration of each unplaced edge there, and one Hadamard
+while one is pending. A pending Hadamard is always followed by one that runs
+on its wire: it runs itself at the wire's next control use, at a target use
+that cannot cancel, or at the end; a target use that cancels it makes the
+CNOT's POST the wire's pending Hadamard, and the argument repeats. Gates on
+one wire do not overlap, so that Hadamard adds its duration to the CNOTs
+still owed there. A transposition table, consulted only at inner nodes the
 bound keeps, skips expanded states, keyed on the unplaced edges, the edges
 allowed next (fixed by those and the last edge), per-wire ready time, pending
 bit and cancellation state, the cancel count, and the ends of placed CNOTs
@@ -36,6 +41,20 @@ every leaf below has a key of at least the bound and a mask of at least the
 placed one. The bound is the key at a leaf (One key, below), so a leaf that
 passes has the smaller folded key and replaces the incumbent; of two equal
 ones the first met stays.
+Seed: before the search, _seed builds one leaf by a list schedule, and dfs,
+called on that leaf, scores it as it scores every leaf. The incumbent then
+starts at its folded key + 1 instead. The seed is a leaf of the search up to
+order: every CNOT it places can witness its target, which is the state the
+search gives such a wire, and swapping two adjacent edges that share no wire
+or crosstalk constraint changes no start time, so the search's canonical
+order of the seed's edges gives a leaf with the seed's key and mask. The
+first optimal leaf's folded key is therefore at most the seed's, below the
+preset, and every node above it has a bound no larger, so the search reaches
+it as it would unseeded. The preset is never the folded key itself: the
+search would then prune every leaf with that folded key, the seed's own
+canonical leaf and any equal-key leaf of the same mask earlier in edge order
+among them, and so miss the first optimal leaf whenever the seed has its key
+and mask.
 Within one mask the search meets leaves in lexicographic edge order: edges
 are tried ascending and the mask fixes every direction, so two leaves of one
 mask part where their orders first differ, and the smaller edge there comes
@@ -138,9 +157,13 @@ class _Leaf:
         self.pre = [m.pre_id(i) for i in range(m.num_cnots)]
         self.post = [m.post_id(i) for i in range(m.num_cnots)]
         self.partners: List[List[int]] = [[] for _ in range(m.num_cnots)]
+        # dependent[i][j]: CNOTs i and j share a wire or a crosstalk
+        # constraint, so the order they are placed in can matter.
+        self.dependent = [[bool(set(a[:2]) & set(b[:2])) for b in m.cnot_info] for a in m.cnot_info]
         for a, b in m.crosstalk_pairs:
             self.partners[a].append(b)
             self.partners[b].append(a)
+            self.dependent[a][b] = self.dependent[b][a] = True
         # The preps are the first pending Hadamards.
         self.preps: List[Optional[int]] = [None] * len(self.wires)
         for v in range(m.graph.n):
@@ -191,6 +214,50 @@ class _Leaf:
         self.cnot_end[i] = None
 
 
+def _seed(leaf: _Leaf) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """(direction mask, edge order) of one leaf by a list schedule, left
+    placed on leaf, or None when some edge has no direction at least as long
+    as its target's Hadamard.
+
+    Edges go by greedy colour class: in index order, each edge takes the
+    least class that no edge dependent on it has taken, so independent edges
+    come together; inside a class they go by index. Each edge takes, of its
+    directions at least as long as the target's Hadamard, the one with the
+    most cancellations, then a control wire with no edge left (a control
+    clears the wire's pending Hadamard, which a later CNOT targeting it could
+    have canceled), then the earliest CNOT end, then mask bit 0. Every CNOT
+    placed can witness its target, so every wire is WITNESSED.
+    """
+    mc, dirs, sq, dependent = leaf.m.num_cnots, leaf.dirs, leaf.sq, leaf.dependent
+    colour: List[int] = []
+    for i in range(mc):
+        taken = {colour[j] for j in range(i) if dependent[i][j]}
+        colour.append(next(k for k in range(i + 1) if k not in taken))
+    order = tuple(sorted(range(mc), key=lambda i: (colour[i], i)))
+    left = [0] * len(leaf.wires)  # unplaced edges per wire
+    for opts in dirs:
+        for q in opts[0][:2]:
+            left[q] += 1
+    leaf.start([WITNESSED] * len(leaf.wires))
+    mask = 0
+    for i in order:
+        for q in dirs[i][0][:2]:
+            left[q] -= 1
+        tried = []
+        for d in (0, 1):
+            c, t, dur = dirs[i][d]
+            if dur >= sq[t]:
+                undo = leaf.place(i, d)
+                tried.append((-leaf.canceled, left[c] > 0, leaf.cnot_end[i], d))
+                leaf.unplace(i, undo)
+        if not tried:
+            return None
+        d = min(tried)[3]
+        leaf.place(i, d)
+        mask |= d << i
+    return mask, order
+
+
 def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
     """(direction mask, edge order) of the first leaf with the least key, by
     one depth-first search from the empty schedule. Keys are "smaller is
@@ -207,12 +274,9 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
     # coherence (so the term is minus the remaining coherence).
     deadline = [(c * scale).numerator if decoherence else 0 for c in coherence]
     # after[j]: edges that may follow edge j by the commutation rule: a
-    # lower index only if it shares a wire or a crosstalk constraint
-    # with j. after[mc] is the root's "every edge".
-    dependent = [[bool(set(a[:2]) & set(b[:2])) for b in m.cnot_info] for a in m.cnot_info]
-    for i, j in m.crosstalk_pairs:
-        dependent[i][j] = dependent[j][i] = True
-    after = [sum(1 << i for i in range(mc) if i > j or dependent[i][j]) for j in range(mc)]
+    # lower index only if it depends on j. after[mc] is the root's "every
+    # edge".
+    after = [sum(1 << i for i in range(mc) if i > j or leaf.dependent[i][j]) for j in range(mc)]
     after.append((1 << mc) - 1)
     # bits[s]: the edges in set s, ascending; doubled once per edge, since
     # the sets holding edge k are those below it plus k.
@@ -225,18 +289,15 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
     low_bits = (2 * mc + m.graph.n).bit_length() + 2 * mc
     weight = {ObjectiveKind.MAX_CANCELLATION: 1, ObjectiveKind.SMT_RUNTIME: 1 << fb}.get(kind, 0)
     options = [(0, 1) if opts[0][2] <= opts[1][2] else (1, 0) for opts in dirs]
-    leaf.start([UNDECIDED] * nq)
-    ready, pending, can, cnot_end = leaf.ready, leaf.pending, leaf.can, leaf.cnot_end
     # Per edge: its wires and its shorter duration.
     wires_of = [opts[0][:2] for opts in dirs]
     edge_load = [min(opts[0][2], opts[1][2]) for opts in dirs]
-    # Per wire: CNOT time owed, unplaced edges on it (each may target
-    # it), and edges with a direction long enough to witness it.
-    load, on_wire, witnesses = [0] * nq, [0] * nq, [0] * nq
+    # Per wire: CNOT time owed, and edges with a direction long enough to
+    # witness it.
+    load, witnesses = [0] * nq, [0] * nq
     for i in range(mc):
         for q in wires_of[i]:
             load[q] += edge_load[i]
-            on_wire[q] += 1
         for _, t, dur in dirs[i]:
             if dur >= sq[t]:
                 witnesses[t] |= 1 << i
@@ -258,16 +319,18 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
     # The incumbent's folded key (module docstring), above every leaf's.
     best = (horizon + 1) << mc
     best_perm: Optional[Tuple[int, ...]] = None
-    # owed[q]: wire q's least remaining time less its deadline; its pending
-    # Hadamard runs if the wire never cancels or no unplaced edge is on it.
-    # It is current for every wire whenever dfs is entered (each step sets
-    # its edge's two wires and restores them after), as the bound at a leaf
-    # needs. At the root every wire has an unplaced edge.
-    owed = [load[q] - deadline[q] for q in range(nq)]
+
+    def owing(loads: List[int]) -> List[int]:
+        # Per wire: its least remaining time, loads[q] of unplaced CNOTs and
+        # one Hadamard while one is pending (module docstring), less its
+        # deadline. dfs keeps it as owed, current for every wire whenever
+        # dfs is entered (each step sets its edge's two wires and restores
+        # them after), as the bound at a leaf needs.
+        return [l - dl + (s if p is not None else 0) for l, dl, s, p in zip(loads, deadline, sq, leaf.pending)]
 
     def dfs(unplaced: int, allowed: int, wires_key: int, mask: int) -> None:
         nonlocal best, best_perm
-        lb = max(map(add, ready, owed)) if timed else 0
+        lb = max(map(add, leaf.ready, owed)) if timed else 0
         if weight:
             # A greedy matching among unplaced edges with no pending
             # Hadamard on either wire counts CNOTs that cancel nothing.
@@ -300,8 +363,6 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
             el = edge_load[i]
             load[a] -= el
             load[b] -= el
-            on_wire[a] -= 1
-            on_wire[b] -= 1
             owed_a, owed_b = owed[a], owed[b]
             base = wires_key & clear[i]
             placed.append(i)
@@ -327,7 +388,7 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
                     # Hadamard and t has its POST.
                     end = ready[t] << 3 if timed else 0
                     owed[c] = load[c] - deadline[c]
-                    owed[t] = load[t] - deadline[t] + (sq[t] if state_t == NEVER or not on_wire[t] else 0)
+                    owed[t] = load[t] - deadline[t] + sq[t]
                     key = base | (end | can[c]) << shift[c] | (end | 4 | state_t) << shift[t]
                     dfs(rest, rest & after[i], key, mask | d << i)
                     leaf.unplace(i, undo)
@@ -335,15 +396,24 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
             placed.pop()
             load[a] += el
             load[b] += el
-            on_wire[a] += 1
-            on_wire[b] += 1
             owed[a], owed[b] = owed_a, owed_b
 
+    # The seed's leaf, still placed, is scored by dfs like any leaf; the
+    # incumbent starts one above its folded key (module docstring).
+    seed = _seed(leaf)
+    if seed is not None:
+        owed = owing([0] * nq)
+        dfs(0, 0, 0, seed[0])
+        best, best_perm = best + 1, None
+    # The search's own empty schedule, whose lists dfs's steps read.
+    leaf.start([UNDECIDED] * nq)
+    ready, pending, can, cnot_end = leaf.ready, leaf.pending, leaf.can, leaf.cnot_end
+    owed = owing(load)
     dfs((1 << mc) - 1, after[mc], sum((pending[q] is not None) << 2 << shift[q] for q in range(nq)), 0)
     # dfs holds itself through its closure; unbinding it frees the table on
     # return instead of at the next full garbage collection.
     del dfs
-    assert best_perm is not None, "model is always satisfiable"
+    assert best_perm is not None, "every preset is above some leaf's folded key"
     return best & ((1 << mc) - 1), best_perm
 
 

@@ -8,8 +8,8 @@ import pytest
 from gscompile import solver
 from gscompile.device import load_calibration, sample_calibration_path
 from gscompile.errors import CapExceededError
-from gscompile.graphs import builtin_graph, fig1_seven, linear_graph, ring_graph, star_graph
-from gscompile.model import Objective, ObjectiveKind, build_model, check_solution
+from gscompile.graphs import builtin_graph, fig1_seven, graph_from_edges, linear_graph, ring_graph, star_graph
+from gscompile.model import Objective, ObjectiveKind, Solution, build_model, check_solution, objective_value_of
 from gscompile.oracle import ORACLE_CAP, oracle_search, oracle_sweep
 from gscompile.placement import best_placement, enumerate_embeddings
 from gscompile.solver import solve_exact
@@ -280,11 +280,72 @@ def test_smt_runtime_golden_linear10():
     assert h.hexdigest() == "0c9157aece2144fb3bf192ae0884da868a6ce06ca454dfa83a80a8bc029cabd7"
 
 
+def test_random_search_golden():
+    # The (direction mask, edge order) the search returns on 168 seeded
+    # solves of 3- to 6-CNOT graphs, random and straddling calibrations
+    # alternating, every objective with crosstalk allowed and forbidden,
+    # hashed: a bound or incumbent change that alters any tie-break fails
+    # here, below and beyond the oracle's cap.
+    rng = random.Random(2026)
+    graphs = [
+        linear_graph(4), star_graph(5), ring_graph(5), linear_graph(6),
+        graph_from_edges(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]), ring_graph(6), linear_graph(7),
+    ]
+    h = hashlib.sha256()
+    for trial in range(3 * len(graphs)):
+        g = graphs[trial % len(graphs)]
+        cal = (random_calibration if trial % 2 else straddling_calibration)(g, rng)
+        for crosstalk_free in (False, True):
+            for kind in ObjectiveKind:
+                m = build_model(g, identity_embedding(g), cal, Objective(kind, crosstalk_free))
+                h.update(repr(solver._search(m)).encode())
+    assert h.hexdigest() == "78fd0731192cb8a7ba1cce0552a48e089f480687083928171f3e061c68eac82c"
+
+
+def test_seed_is_a_real_leaf():
+    # The list schedule that seeds the search's incumbent is a leaf of the
+    # model: its replay satisfies every constraint, and the search never
+    # returns a worse value. Seeds exist only where every edge has a
+    # direction at least as long as its target's Hadamard, so the straddling
+    # calibrations give fewer of them.
+    worse = {
+        ObjectiveKind.MAX_CANCELLATION: lambda v: -v,
+        ObjectiveKind.MIN_MAKESPAN: lambda v: v,
+        ObjectiveKind.MAX_REMAINING_COHERENCE: lambda v: -v,
+        ObjectiveKind.SMT_RUNTIME: lambda v: (-v[0], v[1]),
+    }
+    graphs = [linear_graph(3), linear_graph(4), star_graph(4), ring_graph(4), linear_graph(5), star_graph(5)]
+    seeded = {}
+    for calibration, rng in ((random_calibration, random.Random(5)), (straddling_calibration, random.Random(55))):
+        seeded[calibration] = 0
+        for trial in range(2 * len(graphs)):
+            g = graphs[trial % len(graphs)]
+            cal = calibration(g, rng)
+            for crosstalk_free in (False, True):
+                for kind in ObjectiveKind:
+                    m = build(g, cal, kind, crosstalk_free)
+                    seed = solver._seed(solver._Leaf(m))
+                    if seed is None:
+                        continue
+                    seeded[calibration] += 1
+                    v = solver._vars_from_leaf(m, *seed)
+                    value = objective_value_of(m, v)
+                    where = (calibration.__name__, trial, crosstalk_free, kind)
+                    assert check_solution(m, Solution(v, value, proven_optimal=False)) == [], where
+                    assert worse[kind](solve_exact(m).objective_value) <= worse[kind](value), where
+    assert seeded[random_calibration] == 2 * len(graphs) * 2 * len(ObjectiveKind)
+    assert seeded[straddling_calibration] > 0
+
+
 def test_search_work_pinned(monkeypatch):
     # The children the exact search enters on the bundled device, one
-    # _Leaf.place call each: a change that prunes less fails here in the
-    # open. Before the pending-aware cancellation bound and the untimed
-    # cancellation key, these were 13,072 and 4,118.
+    # _Leaf.place call each (the seed's list schedule, up to three calls per
+    # edge, included): a change that prunes less fails here in the open.
+    # The runtime and decoherence rows pin the timed wire bound. Before each
+    # pending wire owed one Hadamard and the incumbent was seeded, these were
+    # 9,584 (smt-runtime), 2,820 (cancellation), 19,264 (runtime) and 62,420
+    # (decoherence); before the pending-aware cancellation bound and the
+    # untimed cancellation key, the first two were 13,072 and 4,118.
     cal = load_calibration(sample_calibration_path())
     calls = 0
     place = solver._Leaf.place
@@ -296,13 +357,23 @@ def test_search_work_pinned(monkeypatch):
 
     monkeypatch.setattr(solver._Leaf, "place", counting_place)
     counts = {}
-    for name, kind in (("linear:10", ObjectiveKind.SMT_RUNTIME), ("linear:11", ObjectiveKind.MAX_CANCELLATION)):
+    for name, kind in (
+        ("linear:10", ObjectiveKind.SMT_RUNTIME),
+        ("linear:11", ObjectiveKind.MAX_CANCELLATION),
+        ("linear:10", ObjectiveKind.MIN_MAKESPAN),
+        ("linear:10", ObjectiveKind.MAX_REMAINING_COHERENCE),
+    ):
         g = builtin_graph(name)
         m = build_model(g, best_placement(g, cal), cal, Objective(kind))
         calls = 0
         solver._search(m)
         counts[name, kind.value] = calls
-    assert counts == {("linear:10", "smt-runtime"): 9584, ("linear:11", "cancellation"): 2820}
+    assert counts == {
+        ("linear:10", "smt-runtime"): 6801,
+        ("linear:11", "cancellation"): 2690,
+        ("linear:10", "runtime"): 11649,
+        ("linear:10", "decoherence"): 40619,
+    }
 
 
 def test_searches_leave_no_cyclic_garbage():
