@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .device import DeviceCalibration
 from .errors import SolutionError, ValidationError
-from .graphs import GraphSpec, _is_int, _read_json, graph_from_edges
+from .graphs import GraphSpec, _is_int, _read_json, _require_keys, graph_from_edges
 from .model import SchedModel, Solution, resolved_wires
 from .placement import Embedding
 
@@ -54,6 +54,20 @@ def _validate_wires(gates: Sequence[TimedGate]) -> None:
                     f"previous gate on that qubit ends: overlapping gates"
                 )
             free[q] = g.end
+
+
+def _timed_circuit(gates: List[TimedGate], placement: Sequence[int], graph: GraphSpec) -> TimedCircuit:
+    """Sort the gates by (start, wires), check their wires and close the
+    circuit at the last gate's end."""
+    gates.sort(key=lambda g: (g.start, g.wires))
+    _validate_wires(gates)
+    return TimedCircuit(
+        n=graph.n,
+        placement=tuple(placement),
+        gates=tuple(gates),
+        makespan=max(g.end for g in gates),
+        graph=graph,
+    )
 
 
 def derive_circuit(m: SchedModel, s: Solution) -> TimedCircuit:
@@ -109,16 +123,7 @@ def derive_circuit(m: SchedModel, s: Solution) -> TimedCircuit:
         else:
             kind, wires = "h", resolved_wires(m, gate, v.C)
         timed.append(TimedGate(kind, wires, Fraction(v.S[gate.id]), Fraction(v.T[gate.id])))
-    timed.sort(key=lambda g: (g.start, g.wires))
-    _validate_wires(timed)
-    makespan = max(g.end for g in timed)
-    return TimedCircuit(
-        n=m.graph.n,
-        placement=tuple(m.embedding.mapping),
-        gates=tuple(timed),
-        makespan=makespan,
-        graph=m.graph,
-    )
+    return _timed_circuit(timed, m.embedding.mapping, m.graph)
 
 
 def naive_circuit(g: GraphSpec, e: Embedding, cal: DeviceCalibration) -> TimedCircuit:
@@ -144,15 +149,7 @@ def naive_circuit(g: GraphSpec, e: Embedding, cal: DeviceCalibration) -> TimedCi
         gates.append(TimedGate("cx", (ctrl, tgt), cur + dh, cur + dh + d2))
         gates.append(TimedGate("h", (tgt,), cur + dh + d2, cur + 2 * dh + d2))
         cur = cur + 2 * dh + d2
-    gates.sort(key=lambda tg: (tg.start, tg.wires))
-    _validate_wires(gates)
-    return TimedCircuit(
-        n=g.n,
-        placement=tuple(e.mapping),
-        gates=tuple(gates),
-        makespan=max(tg.end for tg in gates),
-        graph=g,
-    )
+    return _timed_circuit(gates, e.mapping, g)
 
 
 def _as_int_ns(x: Fraction, what: str) -> int:
@@ -198,8 +195,7 @@ def _time_field(value, name: str) -> int:
 def circuit_from_json(data: dict) -> TimedCircuit:
     """Rebuild a circuit from its JSON form; a malformed field is a
     ValidationError that names it."""
-    if not isinstance(data, dict) or set(data) != {"n", "placement", "makespan_ns", "gates"}:
-        raise ValidationError("circuit file must have keys n, placement, makespan_ns, gates")
+    _require_keys(data, ("n", "placement", "makespan_ns", "gates"), "circuit file")
     n = _int_field(data["n"], "n")
     makespan = _time_field(data["makespan_ns"], "makespan_ns")
     placement = data["placement"]
@@ -227,6 +223,7 @@ def circuit_from_json(data: dict) -> TimedCircuit:
             )
         start = _time_field(g.get("start_ns"), f"gates[{k}].start_ns")
         end = _time_field(g.get("end_ns"), f"gates[{k}].end_ns")
+        _require_keys(g, ("kind", "wires", "start_ns", "end_ns"), f"circuit file: gates[{k}]")
         if start < 0:
             raise ValidationError(f"circuit file: gates[{k}].start_ns {start} is before time 0")
         gates.append(TimedGate(kind, tuple(wires), Fraction(start), Fraction(end)))

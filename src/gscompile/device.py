@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import ValidationError
-from .graphs import _is_int, _read_json
+from .graphs import _is_int, _read_json, _require_keys
 
 # Field name -> type of each calibration record.
 _QUBIT_FIELDS = {"index": int, "coherence_time_us": float, "readout_p01": float,
@@ -105,15 +105,6 @@ class DeviceCalibration:
         return c
 
 
-def _require_keys(obj: dict, keys, where: str) -> None:
-    extra = set(obj) - set(keys)
-    if extra:
-        raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
-    missing = set(keys) - set(obj)
-    if missing:
-        raise ValidationError(f"{where}: missing keys {sorted(missing)}")
-
-
 def _records(data: dict, key: str, fields: Dict[str, type]) -> List[dict]:
     """The list data[key] with each record's fields type-checked: integers
     exactly (no bool, no float), reals as finite ints or floats."""
@@ -123,8 +114,6 @@ def _records(data: dict, key: str, fields: Dict[str, type]) -> List[dict]:
     out = []
     for i, item in enumerate(items):
         where = f"{key}[{i}]"
-        if not isinstance(item, dict):
-            raise ValidationError(f"{where} must be an object, got {item!r}")
         _require_keys(item, fields, where)
         for name, kind in fields.items():
             v = item[name]
@@ -145,10 +134,7 @@ def calibration_from_json(data: dict) -> DeviceCalibration:
 
 def load_calibration(path) -> DeviceCalibration:
     """Load and validate a calibration JSON file."""
-    data = _read_json(path, "calibration")
-    if not isinstance(data, dict):
-        raise ValidationError("calibration file must hold a JSON object")
-    return calibration_from_json(data)
+    return calibration_from_json(_read_json(path, "calibration"))
 
 
 def save_calibration(cal: DeviceCalibration, path) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import CapExceededError, ValidationError
-from .subiso import adjacency
+from .subiso import adjacency, bfs_order
 
 STABILIZER_GROUP_CAP = 12
 
@@ -80,20 +80,8 @@ class GraphSpec:
             if not (0 <= a < b < self.n):
                 raise ValidationError(f"edge ({a},{b}) not canonical within 0..{self.n - 1}")
         # n - 1 edges at least: a huge n fails before an n-entry adjacency is built.
-        if self.n > len(self.edges) + 1 or not self._connected():
+        if self.n > len(self.edges) + 1 or len(bfs_order(self.n, self.adjacency())) < self.n:
             raise ValidationError("graph must be connected")
-
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
 
     def adjacency(self) -> Dict[int, FrozenSet[int]]:
         return adjacency(self.n, self.edges)
@@ -166,8 +154,7 @@ def builtin_graph(name: str) -> GraphSpec:
 def load_graph(path) -> GraphSpec:
     """Load a graph file: UTF-8 JSON {"n": int, "edges": [[a, b], ...]}."""
     data = _read_json(path, "graph")
-    if not isinstance(data, dict) or set(data) != {"n", "edges"}:
-        raise ValidationError("graph file must have exactly the keys 'n' and 'edges'")
+    _require_keys(data, ("n", "edges"), "graph file")
     n, edges = data["n"], data["edges"]
     if not _is_int(n):
         raise ValidationError(f"graph file: n must be an integer, got {n!r}")
@@ -181,6 +168,19 @@ def load_graph(path) -> GraphSpec:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_keys(obj, keys, where: str) -> None:
+    """An input object has exactly the keys `keys`; a fault names the value
+    that is not an object, else the unknown keys, else the missing ones."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object, got {type(obj).__name__}")
+    extra = set(obj) - set(keys)
+    if extra:
+        raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
+    missing = set(keys) - set(obj)
+    if missing:
+        raise ValidationError(f"{where}: missing keys {sorted(missing)}")
 
 
 def _read_json(path, what: str):

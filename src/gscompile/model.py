@@ -281,14 +281,14 @@ def build_model(
     obj: Objective,
 ) -> SchedModel:
     """Materialize gates, variables, and all constraints for one instance."""
+    if len(set(e.mapping)) != g.n or len(e.mapping) != g.n:
+        raise ValidationError("embedding is not an injective map of all vertices")
     topo = topology_graph(cal)
     edges = g.sorted_edges()
     for u, v in edges:
         pu, pv = e.mapping[u], e.mapping[v]
         if pv not in topo.get(pu, frozenset()):
             raise ValidationError(f"embedding maps edge ({u},{v}) onto non-coupled qubits ({pu},{pv})")
-    if len(set(e.mapping)) != g.n or len(e.mapping) != g.n:
-        raise ValidationError("embedding is not an injective map of all vertices")
 
     cnot_info = []
     for u, v in edges:

@@ -164,10 +164,8 @@ class _Leaf:
             self.partners[a].append(b)
             self.partners[b].append(a)
             self.dependent[a][b] = self.dependent[b][a] = True
-        # The preps are the first pending Hadamards.
-        self.preps: List[Optional[int]] = [None] * len(self.wires)
-        for v in range(m.graph.n):
-            self.preps[idx[m.prep_wire(v)]] = m.prep_id(v)
+        # The preps are the first pending Hadamards; local wire k is vertex k.
+        self.preps: List[Optional[int]] = [m.prep_id(v) for v in range(m.graph.n)]
 
     def start(self, can: List[int]) -> None:
         self.can = can

@@ -15,7 +15,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tup
 
 
 def bfs_order(n: int, adj: Dict[int, FrozenSet[int]]) -> List[int]:
-    """BFS vertex order from vertex 0; assumes a connected graph."""
+    """BFS vertex order from vertex 0: all n vertices exactly when the graph
+    is connected, which is how `GraphSpec` checks connectivity."""
     order = [0]
     seen = {0}
     queue = deque([0])

@@ -15,6 +15,7 @@ from gscompile.circuit import circuit_to_json, derive_circuit, naive_circuit
 from gscompile.cli import main
 from gscompile.device import load_calibration, sample_calibration_path, save_calibration
 from gscompile.graphs import linear_graph
+from gscompile.model import Objective, ObjectiveKind, build_model
 from gscompile.placement import best_placement
 from gscompile.solver import solve_exact
 
@@ -82,6 +83,19 @@ class TestCompile:
         code, _, err = run_main(["compile", "--graph", "linear:4"], capsys)
         assert code == 1
         assert err.startswith("gscompile: solver solution violates constraints: [")
+
+    @pytest.mark.parametrize("command", ["compile", "emit-smt"])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, sym3_path, command):
+        # Without --out, the output goes to stdout, and compile's summary
+        # goes to stderr instead.
+        argv = [command, "--graph", "linear:3", "--cal", sym3_path]
+        out = tmp_path / "out"
+        code, to_file, _ = run_main(argv + ["--out", str(out)], capsys)
+        assert code == 0
+        code, stdout, stderr = run_main(argv, capsys)
+        assert code == 0
+        assert stdout.encode() == out.read_bytes()
+        assert stderr == to_file
 
     def test_not_native_exit_2(self, capsys):
         code, _, err = run_main(
@@ -231,6 +245,16 @@ class TestOtherCommands:
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert named in err and "Traceback" not in err
 
+    def test_simulate_readout_not_invertible_exit_1(self, tmp_path, capsys, sym3_path):
+        circ = tmp_path / "c.json"
+        run_main(["compile", "--graph", "linear:3", "--cal", sym3_path, "--out", str(circ)], capsys)
+        noise = tmp_path / "noise.json"
+        save_calibration(line_calibration(3, p01=0.7, p10=0.4), noise)
+        argv = ["simulate", "--circuit", str(circ), "--noise-from", str(noise), "--mitigate", "--shots", "16"]
+        code, stdout, err = run_main(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err == "gscompile: readout confusion with p01=0.7, p10=0.4 is not invertible\n"
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
@@ -242,6 +266,9 @@ class TestMalformedInput:
             (["bogus"], "bogus"),
             (["--threads", "-5", "place", "--graph", "linear:3"], "--threads"),
             (["--threads", "0", "place", "--graph", "linear:3"], "--threads"),
+            (["place", "--graph", "linear:1"], "linear graph needs n >= 2, got 1"),
+            (["place", "--graph", "ring:2"], "ring graph needs n >= 3, got 2"),
+            (["place", "--graph", "star:1"], "star graph needs n >= 2, got 1"),
         ],
     )
     def test_usage_error_exit_1(self, capsys, argv, named):
@@ -262,6 +289,11 @@ class TestMalformedInput:
             ({"n": 3, "edges": [[0, 1, 2]]}, "edges[0]"),
             ({"n": "x", "edges": [[0, 1]]}, "n must be an integer"),
             ({"n": 3, "edges": [[0, 1], [1, "2"]]}, "edges[1]"),
+            ({"n": 3, "edges": [[0, 1], [1, 2]], "extra": 1}, "graph file: unknown keys ['extra']"),
+            ({"n": 3}, "graph file: missing keys ['edges']"),
+            ({"n": 3, "edges": 5}, "edges must be a list"),
+            ({"n": 1, "edges": []}, "graph needs at least 2 vertices, got 1"),
+            ({"n": 3, "edges": [[0, 1], [1, 5]]}, "edge (1,5) not canonical within 0..2"),
         ],
     )
     def test_bad_graph_file_exit_1(self, tmp_path, capsys, graph, field):
@@ -292,6 +324,21 @@ class TestMalformedInput:
         assert code == 1
         assert err.splitlines() == [err.strip()]
         assert err.startswith(f"gscompile: malformed {kind} file {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["place", "--graph", "{f}"], "graph file must be an object, got list"),
+            (["place", "--graph", "linear:3", "--cal", "{f}"], "calibration must be an object, got list"),
+            (["simulate", "--circuit", "{f}"], "circuit file must be an object, got list"),
+        ],
+    )
+    def test_input_not_an_object_exit_1(self, tmp_path, capsys, argv, named):
+        path = tmp_path / "input.json"
+        path.write_text("[1, 2]")
+        code, _, err = run_main([a.format(f=path) for a in argv], capsys)
+        assert code == 1
+        assert err == f"gscompile: {named}\n"
 
     def test_huge_n_graph_file_exit_1(self, tmp_path, capsys):
         """Too few edges to connect n vertices is rejected before anything
@@ -337,6 +384,10 @@ class TestMalformedInput:
             (lambda c: c["gates"].reverse(), "gates[1].start_ns 0 on qubit 1"),
             (lambda c: c.update(makespan_ns=300), "makespan_ns 300 is before"),
             (lambda c: c["gates"][0].update(start_ns=-35, end_ns=0), "gates[0].start_ns -35 is before time 0"),
+            (lambda c: c["gates"].__setitem__(0, 5), "gates[0] must be an object, got 5"),
+            (lambda c: c["gates"][0].update(bogus=1), "circuit file: gates[0]: unknown keys ['bogus']"),
+            (lambda c: c.update(bogus=1), "circuit file: unknown keys ['bogus']"),
+            (lambda c: c.pop("makespan_ns"), "circuit file: missing keys ['makespan_ns']"),
         ],
     )
     def test_bad_circuit_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):
@@ -413,6 +464,11 @@ class TestMalformedInput:
             (lambda d: d["couplers"][1].update(duration_ab_ns="300"), "couplers[1].duration_ab_ns"),
             (lambda d: d.update(couplers="nope"), "couplers must be a list"),
             (lambda d: d.update(qubits=[5]), "qubits[0] must be an object"),
+            (lambda d: d["qubits"][0].update(index=-1), "qubits[-1].index must be non-negative"),
+            (lambda d: d["qubits"][1].update(index=0), "qubits: duplicate index"),
+            (lambda d: d["couplers"][0].update(b=0), "couplers[(0,0)]: endpoints must differ"),
+            (lambda d: d["couplers"][0].update(duration_ba_ns=0), "couplers[(0,1)]: durations must be > 0"),
+            (lambda d: d["couplers"][0].update(error=1.5), "couplers[(0,1)].error must be in [0, 1]"),
         ],
     )
     def test_bad_calibration_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):
@@ -447,6 +503,7 @@ class TestExternalSolver:
             ("C_0 Bool true, C_1 Bool true, S_0 Real abc", "S_0 to abc, not a Real"),
             ("C_0 Bool 0.0", "C_0 to 0.0, not a Bool"),
             ("C_0 Bool true, C_1 Bool false, S_0 Real true", "S_0 to true, not a Real"),
+            ("C_0 Bool true, C_1 Bool true, S_0 Real (+ 1.0 2.0)", "S_0 to (+ 1.0 2.0), not a Real"),
         ],
     )
     def test_malformed_value_exit_1(self, capsys, sym3_path, bindings, named):
@@ -460,6 +517,38 @@ class TestExternalSolver:
         assert code == 1
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert named in err and "Traceback" not in err
+
+    def test_solution_checked_then_compiled(self, tmp_path, capsys, sym3_path):
+        # A fake solver prints the builtin solver's assignment: compile then
+        # writes what the builtin path writes. With one start moved, the
+        # same check that guards the builtin path refuses it.
+        cal = load_calibration(sym3_path)
+        g = linear_graph(3)
+        m = build_model(g, best_placement(g, cal), cal, Objective(ObjectiveKind.SMT_RUNTIME))
+        v = solve_exact(m).vars
+
+        def listing(S):
+            defs = [f"(define-fun C_{i} () Bool {str(b).lower()})" for i, b in v.C.items()]
+            defs += [f"(define-fun B_{i} () Bool {str(b).lower()})" for i, b in v.B.items()]
+            for name, values in (("S", S), ("T", v.T)):
+                defs += [f"(define-fun {name}_{i} () Real {x}.0)" for i, x in values.items()]
+            return "sat\n(" + "\n".join(defs) + ")\n"
+
+        def run_external(S):
+            model = tmp_path / "model.txt"
+            model.write_text(listing(S))
+            fake = shlex.join([sys.executable, "-c", "import sys; print(open(sys.argv[1]).read())", str(model)])
+            return run_main(argv + ["--out", str(tmp_path / "ext.json"), "--external-solver", fake], capsys)
+
+        argv = ["compile", "--graph", "linear:3", "--cal", sym3_path]
+        builtin = tmp_path / "builtin.json"
+        _, summary, _ = run_main(argv + ["--out", str(builtin)], capsys)
+        code, stdout, _ = run_external(v.S)
+        assert code == 0 and stdout == summary
+        assert (tmp_path / "ext.json").read_bytes() == builtin.read_bytes()
+        code, _, err = run_external({**v.S, 0: v.S[0] + 1})
+        assert code == 1
+        assert err.startswith("gscompile: solver solution violates constraints: [")
 
     def test_output_not_utf8_exit_1(self, capsys, sym3_path):
         # A fake solver answers sat, then bytes that are not UTF-8.

@@ -53,8 +53,11 @@ class TestBuildModel:
 
     def test_rejects_non_injective_embedding(self, sym3):
         g = linear_graph(3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="injective"):
             build_model(g, Embedding((0, 1, 1), 1.0), sym3, Objective(ObjectiveKind.MIN_MAKESPAN))
+        # Too short a mapping is refused before its edges are looked up.
+        with pytest.raises(ValidationError, match="injective"):
+            build_model(g, Embedding((0, 1), 1.0), sym3, Objective(ObjectiveKind.MIN_MAKESPAN))
 
     def test_rejects_uncoupled_edge(self, sym3):
         g = linear_graph(3)
@@ -139,6 +142,13 @@ class TestEmitSmtlib:
         assert "M_REM" in text and "TQ_0" in text
         text = emit_smtlib(build_model(g, e, sym3, Objective(ObjectiveKind.MIN_MAKESPAN)))
         assert "(minimize MAKESPAN)" in text and "M_REM" not in text
+
+    def test_fractional_coherence_term(self):
+        # 100.0005 us is 200001/2 ns: emitted as an exact quotient.
+        g = linear_graph(3)
+        cal = line_calibration(3, coherence_us=100.0005)
+        m = build_model(g, identity_embedding(g), cal, Objective(ObjectiveKind.MAX_REMAINING_COHERENCE))
+        assert "(assert (<= M_REM (- (/ 200001.0 2.0) TQ_0)))" in emit_smtlib(m)
 
     def test_golden_bytes(self):
         # The emitted model is a public, byte-deterministic output: any change
@@ -276,6 +286,16 @@ class TestParseExternalSolution:
         assert parsed.vars.S == s.vars.S
         assert parsed.objective_value == s.objective_value
         assert parsed.proven_optimal
+
+    @pytest.mark.parametrize("term, value", [
+        ("(/ 200001.0 2.0)", Fraction(200001, 2)),
+        ("(- (/ 1.0 3.0))", Fraction(-1, 3)),
+    ])
+    def test_fractional_value_read_back(self, sym3, term, value):
+        m, s = solved(linear_graph(2), sym3)
+        marked = ModelVars(C=s.vars.C, S={**s.vars.S, 0: 987654}, T=s.vars.T, B=s.vars.B)
+        out = synthetic_output(m, marked).replace("S_0 () Real 987654.0", f"S_0 () Real {term}")
+        assert parse_external_solution(m, out).vars.S[0] == value
 
     def test_unknown_verdict_not_proven(self, sym3):
         m, s = solved(linear_graph(2), sym3)
