@@ -1,18 +1,27 @@
 """numpy kernels of the noisy simulation: the Pauli-frame Monte Carlo
-estimator and the dense density-matrix oracle, both replaying the event
+estimator and the dense density-matrix oracle, both built on the event
 stream of ``sim._event_stream``. ``sim.estimate_fidelity`` and
 ``sim.density_oracle`` validate their inputs and import this module once per
 call, so numpy is loaded only when noise is simulated.
 
-A frame is one boolean row per qubit for its X part and one for its Z part,
-each holding every shot, so a gate or a fault is a few whole-row operations
-and a CNOT fault touches only the shots it hits.
+The estimator samples Pauli frames sparsely, in the manner of Stim (Gidney,
+Quantum 5, 497, 2021). A frame is one integer per shot, its X bits then its
+Z bits (``x | z << n``). One backward pass over the events gives the frame
+that each fault of each noisy event has at the end of the circuit, its
+image, so a shot's final frame is the XOR of the images of the faults that
+hit it and no gate is replayed per shot. Faults are drawn as Poisson
+arrivals: an event with error probability p gets Poisson(shots * lambda)
+arrivals, lambda = -log(1 - p), each at a uniform shot with a uniform fault
+type. A shot is hit when at least one arrival lands on it, which happens
+with probability exactly p, independently across shots and events; a shot
+hit more than once by one event keeps its first arrival's type. An event
+with p = 1 hits every shot.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,65 +55,103 @@ def _outcome_sampler(tab: Tableau):
     return b0, basis
 
 
-# Fault bits of the drawn two-qubit Pauli code 1..15, one row per frame row
-# it flips: X then Z on the first wire, X then Z on the second.
-_CX_FAULT_BITS = (np.arange(16) >> np.arange(4)[:, None] & 1).astype(bool)
+def _fault_images(n: int, events) -> List[Tuple[float, Tuple[int, ...]]]:
+    """(p, images) for each event with p > 0, in schedule order: images[k] is
+    the end-of-circuit frame of fault type k inserted after the event's gate.
+    The types are Z for an idle; X, Y, Z for an H; for a CNOT, type k is
+    the two-qubit Pauli of code k + 1 (1..15), whose bits 0 and 1 are X and
+    Z on the first wire and bits 2 and 3 X and Z on the second. The one
+    backward pass keeps the images of X_v and Z_v inserted at the current
+    point: H swaps them, and CNOT(c, t) maps X_c to X_c X_t and Z_t to
+    Z_c Z_t."""
+    img_x = [1 << v for v in range(n)]
+    img_z = [1 << (v + n) for v in range(n)]
+    noisy = []
+    for kind, wires, p in reversed(events):
+        if p > 0:
+            v = wires[0]
+            if kind == "idle":
+                images: Tuple[int, ...] = (img_z[v],)
+            elif kind == "h":
+                images = (img_x[v], img_x[v] ^ img_z[v], img_z[v])
+            else:
+                table = [0]  # table[code]: the XOR of the parts its bits select
+                for part in (img_x[v], img_z[v], img_x[wires[1]], img_z[wires[1]]):
+                    table += [m ^ part for m in table]
+                images = tuple(table[1:])
+            noisy.append((p, images))
+        if kind == "h":
+            v = wires[0]
+            img_x[v], img_z[v] = img_z[v], img_x[v]
+        elif kind == "cx":
+            c, t = wires
+            img_x[c] ^= img_x[t]
+            img_z[t] ^= img_z[c]
+    noisy.reverse()
+    return noisy
 
 
-def _frame_apply_gate(fx, fz, kind: str, wires: Tuple[int, ...]) -> None:
-    if kind == "h":
-        v = wires[0]
-        fx[v], fz[v] = fz[v], fx[v]  # rows are separate arrays: swap, no copy
-    else:  # cx
-        cq, tq = wires
-        fx[tq] ^= fx[cq]
-        fz[cq] ^= fz[tq]
+class _FaultTable:
+    """The noisy events of one estimate as arrays: the Poisson rate of each
+    over all shots (0 where p = 1), the events with p = 1, the number of
+    fault types of each and their images, zero-padded to 15 columns."""
 
+    def __init__(self, n: int, events, shots: int):
+        noisy = _fault_images(n, events)
+        self.shots = shots
+        self.rate = np.array([0.0 if p >= 1 else shots * -math.log1p(-p) for p, _ in noisy])
+        self.certain = np.array([e for e, (p, _) in enumerate(noisy) if p >= 1], dtype=np.int64)
+        self.ntypes = np.array([len(images) for _, images in noisy], dtype=np.int64)
+        self.dtype = np.uint32 if n <= 16 else np.uint64  # a frame has 2n bits
+        self.images = np.zeros((len(noisy), 15), dtype=self.dtype)
+        for e, (_, images) in enumerate(noisy):
+            self.images[e, : len(images)] = images
 
-def _frame_noise(fx, fz, rng, kind: str, wires: Tuple[int, ...], p: float) -> None:
-    if p <= 0:
-        return
-    shots = len(fx[0])
-    if kind == "idle":
-        fz[wires[0]] ^= rng.random(shots) < p
-    elif kind == "h":
-        u = rng.random(shots)
-        v = wires[0]
-        fx[v] ^= u < 2 * p / 3  # X or Y component
-        fz[v] ^= (u >= p / 3) & (u < p)  # Y or Z component
-    else:  # cx: uniform over the 15 non-identity two-qubit Paulis
-        hit = np.flatnonzero(rng.random(shots) < p)
-        bits = _CX_FAULT_BITS[:, rng.integers(1, 16, size=shots)[hit]]
-        a, b = wires
-        for row, flips in zip((fx[a], fz[a], fx[b], fz[b]), bits):
-            row[hit] ^= flips
+    def sample(self, rng) -> Optional[np.ndarray]:
+        """Final frame of every shot, or None without drawing when no event
+        is noisy. Draws, in order: the arrival count of every noisy event
+        (``poisson``), the shot of every arrival, then the fault type of
+        every arrival and of every shot of each p = 1 event, in event order."""
+        events, shots = len(self.rate), self.shots
+        if not events:
+            return None
+        ev = np.repeat(np.arange(events), rng.poisson(self.rate))
+        pos = rng.integers(0, shots, size=ev.size)
+        if self.certain.size:
+            ev = np.concatenate((ev, np.repeat(self.certain, shots)))
+            pos = np.concatenate((pos, np.tile(np.arange(shots), self.certain.size)))
+        kind = rng.integers(0, self.ntypes[ev])
+        key = pos * events + ev
+        order = np.argsort(key, kind="stable")  # arrivals of one (shot, event) stay in draw order
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = key[order[1:]] != key[order[:-1]]
+        hit = order[first]
+        frame = np.zeros(shots, dtype=self.dtype)
+        np.bitwise_xor.at(frame, pos[hit], self.images[ev[hit], kind[hit]])
+        return frame
 
 
 def _element_mc(
     c: TimedCircuit,
     noise: NoiseModel,
-    events,
+    frame: Optional[np.ndarray],
     ideal_tab: Tableau,
     element: PauliString,
     shots: int,
     rng,
     mitigate: bool,
 ) -> ElementEstimate:
+    """One element's estimate from the shots' final frames (None: no faults)."""
     b0, basis = _outcome_sampler(_rotated_tableau(ideal_tab, element))
-
-    fx = [np.zeros(shots, dtype=bool) for _ in range(c.n)]  # one row per qubit
-    fz = [np.zeros(shots, dtype=bool) for _ in range(c.n)]
-    for kind, wires, p in events:
-        if kind != "idle":
-            _frame_apply_gate(fx, fz, kind, wires)
-        _frame_noise(fx, fz, rng, kind, wires, p)
-
-    # The basis change (H for X, S-dagger then H for Y) is noiseless, so a Z
-    # outcome is flipped by the rotated frame's X bit: the frame's Z bit
-    # under an X, X xor Z under a Y, its X bit under a Z.
     support = [v for v in range(c.n) if (element.support() >> v) & 1]
-    ys, xs = element.x_mask & element.z_mask, element.x_mask & ~element.z_mask
-    bits = np.array([fx[v] ^ fz[v] if ys >> v & 1 else fz[v] if xs >> v & 1 else fx[v] for v in support])
+    if frame is None:
+        bits = np.zeros((len(support), shots), dtype=bool)
+    else:
+        # The basis change (H for X, S-dagger then H for Y) is noiseless, so
+        # a Z outcome is flipped by the rotated frame's X bit: the frame's Z
+        # bit under an X, X xor Z under a Y, its X bit under a Z.
+        flips = (frame & element.z_mask) ^ (frame >> c.n & element.x_mask)
+        bits = (flips & (1 << np.array(support, dtype=frame.dtype))[:, None]) != 0
     bits ^= b0[support, None] != 0
     if basis.shape[0]:
         u = rng.integers(0, 2, size=(shots, basis.shape[0]), dtype=np.uint8)
@@ -142,8 +189,10 @@ def sample_elements(
     mitigate: bool,
 ) -> List[ElementEstimate]:
     """Monte Carlo estimate of every group element; element k draws from its
-    own stream, spawned from the seed with key (k,). The identity element
+    own stream, spawned from the seed with key (k,): its faults when some
+    event is noisy, then its outcomes and readout. The identity element
     draws nothing: its value is its sign."""
+    faults = _FaultTable(c.n, events, shots)
     elements: List[ElementEstimate] = []
     for k, element in enumerate(group):
         if element.support() == 0:
@@ -153,7 +202,7 @@ def sample_elements(
             )
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            elements.append(_element_mc(c, noise, events, ideal_tab, element, shots, rng, mitigate))
+            elements.append(_element_mc(c, noise, faults.sample(rng), ideal_tab, element, shots, rng, mitigate))
     return elements
 
 

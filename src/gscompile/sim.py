@@ -18,9 +18,10 @@ span it anticommutes with some row (expectation 0); on it, the one group
 element with its bits gives the sign. Noisy estimation is a Pauli-frame
 Monte Carlo: one measurement setting per stabilizer element, depolarizing
 noise after gates, idle dephasing in the schedule's gaps, readout confusion,
-and optional unbiased readout mitigation. Both the sampler and the dense
-density-matrix oracle for small systems replay the one event stream built
-here.
+and optional unbiased readout mitigation. Both read the one event stream
+built here: the sampler draws sparse faults and pushes them to the end of
+the circuit through images precomputed from it, and the dense density-matrix
+oracle for small systems replays it.
 """
 
 from __future__ import annotations
@@ -369,11 +370,14 @@ def estimate_fidelity(
     the 2^n element expectations. Each element draws from an independent RNG
     stream spawned from the seed, so results are reproducible bit-for-bit and
     per-element values do not shift when others are recomputed. A stream is
-    consumed in one fixed order: for each event with p > 0, in schedule
-    order, one uniform per shot (a CNOT then draws one fault code in 1..15
-    per shot); then the outcome draw, a random bit per shot and free direction
-    of the measurement distribution; then the readout uniforms, one row of
-    shots per support qubit in qubit order.
+    consumed in one fixed order. First, when some event has p > 0, its
+    faults: one Poisson arrival count per such event, in schedule order, at
+    mean -shots * log(1 - p) (none for p = 1); one shot per arrival; one
+    fault type per arrival and then per shot of each p = 1 event (see
+    ``gscompile.frames``). Then the outcome draw, a random bit per shot and
+    free direction of the measurement distribution; then the readout
+    uniforms, one row of shots per support qubit in qubit order. With no
+    noisy event the first step draws nothing.
     """
     if not _is_int(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots}")
@@ -414,8 +418,8 @@ def estimate_fidelity(
 # Dense density-matrix oracle (small n)
 
 def density_oracle(c: TimedCircuit, noise: NoiseModel) -> float:
-    """Exact <G|rho|G> by dense channel evolution, replaying the identical
-    event order the Monte Carlo estimator uses (readout errors excluded: the
+    """Exact <G|rho|G> by dense channel evolution of the event stream the
+    Monte Carlo estimator samples (readout errors excluded: the
     sampling estimator's mitigated value is unbiased for this quantity)."""
     n = c.n
     if n > DENSITY_CAP:

@@ -301,6 +301,32 @@ class TestDensityOracle:
         est = estimate_fidelity(c, noise, shots=100000, seed=2, mitigate=True)
         assert abs(est.fidelity_mitigated - exact) <= 3 * est.stderr_mitigated
 
+    @pytest.mark.parametrize("form", ["compiled", "naive"])
+    def test_mitigated_mc_unbiased_over_seeds(self, form):
+        # Full-noise draws are not pinned to a reference bit for bit, so the
+        # sampler's bias is bounded statistically: over 20 seeds the z-scores
+        # against the exact value have mean within 3 sigma of 0.
+        c = reference_circuit("linear:4", form)
+        noise = NoiseModel.from_calibration(graph_calibration(c.graph, **NOISY))
+        exact = density_oracle(c, noise)
+        z = []
+        for seed in range(20):
+            est = estimate_fidelity(c, noise, shots=2000, seed=seed, mitigate=True)
+            z.append((est.fidelity_mitigated - exact) / est.stderr_mitigated)
+        assert abs(sum(z) / len(z)) <= 3 / math.sqrt(len(z))
+        assert max(abs(v) for v in z) < 5
+
+    @pytest.mark.parametrize("rates", [dict(cx_error=1.0), dict(sq_error=1.0)])
+    def test_certain_faults_agree(self, rates):
+        # p = 1 has an infinite Poisson rate: every shot gets one fault.
+        g = star_graph(4)
+        cal = graph_calibration(g, **dict(NOISY, **rates))
+        noise = NoiseModel.from_calibration(cal)
+        for c in (compiled(g, cal), naive_circuit(g, identity_embedding(g), cal)):
+            exact = density_oracle(c, noise)
+            est = estimate_fidelity(c, noise, shots=20000, seed=3, mitigate=True)
+            assert abs(est.fidelity_mitigated - exact) <= 4 * est.stderr_mitigated
+
     def test_dephasing_monotone_in_idle_time(self):
         # weaker coherence (longer effective idling) strictly lowers fidelity
         g = linear_graph(3)
@@ -324,11 +350,40 @@ class TestDensityOracle:
 # ---------------------------------------------------------------------------
 # Frame kernel pinned against a reference copy of its first form
 
+FAULT_TYPES = {"idle": 1, "h": 3, "cx": 15}
+
+
+def reference_faults(events, shots, rng):
+    """The sparse fault draws, read in the kernel's order: Poisson arrival
+    counts per noisy event, one shot per arrival, then one type per arrival
+    and per shot of each p = 1 event. Returns {event: {shot: type}} with the
+    first arrival at a shot kept."""
+    noisy = [e for e, (_, _, p) in enumerate(events) if p > 0]
+    if not noisy:
+        return {}
+    ps = [events[e][2] for e in noisy]
+    counts = rng.poisson([0.0 if p >= 1 else shots * -math.log1p(-p) for p in ps])
+    arrivals = [e for e, count in zip(noisy, counts) for _ in range(count)]
+    at = list(rng.integers(0, shots, size=len(arrivals)))
+    for e, p in zip(noisy, ps):
+        if p >= 1:
+            arrivals += [e] * shots
+            at += range(shots)
+    types = rng.integers(0, np.array([FAULT_TYPES[events[e][0]] for e in arrivals], dtype=np.int64))
+    hits = {}
+    for e, shot, t in zip(arrivals, at, types):
+        hits.setdefault(e, {}).setdefault(int(shot), int(t))
+    return hits
+
+
 def reference_element_mc(c, noise, events, ideal_tab, element, shots, rng, mitigate):
     """The per-element kernel in its first form: (shots, n) uint8 frames, each
-    event's gate then its noise, the basis change applied to the frames as
-    noiseless gates, then one readout draw per support qubit."""
+    event's gate then its drawn faults, the basis change applied to the frames
+    as noiseless gates, then one readout draw per support qubit. Faults are
+    replayed forward, so the kernel's backward images are checked against
+    gate-by-gate propagation."""
     n = c.n
+    hits = reference_faults(events, shots, rng)
     b0, basis = _outcome_sampler(_rotated_tableau(ideal_tab, element))
     fx = np.zeros((shots, n), dtype=np.uint8)
     fz = np.zeros((shots, n), dtype=np.uint8)
@@ -346,23 +401,19 @@ def reference_element_mc(c, noise, events, ideal_tab, element, shots, rng, mitig
             fx[:, tq] ^= fx[:, cq]
             fz[:, cq] ^= fz[:, tq]
 
-    for kind, wires, p in events:
+    for e, (kind, wires, _) in enumerate(events):
         if kind != "idle":
             gate(kind, wires)
-        if p <= 0:
-            continue
-        if kind == "idle":
-            fz[rng.random(shots) < p, wires[0]] ^= 1
-        elif kind == "h":
-            u = rng.random(shots)
-            fx[u < 2 * p / 3, wires[0]] ^= 1
-            fz[(u >= p / 3) & (u < p), wires[0]] ^= 1
-        else:
-            hit = rng.random(shots) < p
-            idx = np.where(hit, rng.integers(1, 16, size=shots), 0)
-            a, b = wires
-            for k, (frame, v) in enumerate(((fx, a), (fz, a), (fx, b), (fz, b))):
-                frame[:, v] ^= ((idx >> k) & 1).astype(np.uint8)
+        for shot, t in hits.get(e, {}).items():
+            if kind == "idle":
+                fz[shot, wires[0]] ^= 1
+            elif kind == "h":  # X, Y, Z
+                fx[shot, wires[0]] ^= t < 2
+                fz[shot, wires[0]] ^= t > 0
+            else:  # code t + 1: X then Z on the first wire, then on the second
+                a, b = wires
+                for k, (frame, v) in enumerate(((fx, a), (fz, a), (fx, b), (fz, b))):
+                    frame[shot, v] ^= (t + 1) >> k & 1
     for v in range(n):  # basis change: H on X, S-dagger then H on Y
         if (element.x_mask >> v) & 1:
             if (element.z_mask >> v) & 1:
@@ -398,6 +449,19 @@ def reference_element_mc(c, noise, events, ideal_tab, element, shots, rng, mitig
     return sim.ElementEstimate(element.label, raw, mit, err_raw, err_mit)
 
 
+def reference_sample_elements(c, noise, events, ideal_tab, group, shots, seed, mitigate):
+    """Element by element, each from its own spawned stream."""
+    out = []
+    for k, element in enumerate(group):
+        if element.support() == 0:
+            one = float(element.sign)
+            out.append(sim.ElementEstimate(element.label, one, one if mitigate else None, 0.0, 0.0 if mitigate else None))
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+            out.append(reference_element_mc(c, noise, events, ideal_tab, element, shots, rng, mitigate))
+    return out
+
+
 NOISY = dict(sq_error=0.05, cx_error=0.2, coherence_us=0.5, p01=0.05, p10=0.08)
 
 
@@ -430,7 +494,7 @@ def test_estimate_golden():
     for c in (compiled(g, cal), naive_circuit(g, identity_embedding(g), cal)):
         for mitigate in (False, True):
             h.update(repr(estimate_fidelity(c, noise, shots=500, seed=17, mitigate=mitigate)).encode())
-    assert h.hexdigest() == "4b831bfd2b7c3e519227fa8c5f7a375147ad607abc366cb680981204d2af2110"
+    assert h.hexdigest() == "47844491b0776f23df5bfebd0809a14d672e4b6fcd9a49a0a55d8a0a5490ca59"
 
 
 class TestFrameKernelReference:
@@ -439,20 +503,22 @@ class TestFrameKernelReference:
         [(g, f) for g in ("linear:3", "linear:4", "star:4") for f in ("compiled", "naive")]
         + [("linear:2", "product")],
     )
-    @pytest.mark.parametrize("model", ["noiseless", "readout-only", "full"])
+    @pytest.mark.parametrize("model", ["noiseless", "readout-only", "full", "certain"])
     def test_bit_identical_to_reference(self, monkeypatch, name, form, model):
         c = reference_circuit(name, form)
-        cal = graph_calibration(c.graph, **NOISY)
+        rates = dict(NOISY, cx_error=1.0, sq_error=1.0) if model == "certain" else NOISY
+        cal = graph_calibration(c.graph, **rates)
         noise = {
             "noiseless": NoiseModel.noiseless,  # every event has p = 0 and draws nothing
             "readout-only": NoiseModel.readout_only,
             "full": NoiseModel.from_calibration,
+            "certain": NoiseModel.from_calibration,  # every gate event has p = 1
         }[model](cal)
         for mitigate in (False, True):
             for shots in (1, 500):
                 got = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
                 with monkeypatch.context() as mp:
-                    mp.setattr(frames, "_element_mc", reference_element_mc)
+                    mp.setattr(frames, "sample_elements", reference_sample_elements)
                     want = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
                 assert got == want
 
@@ -466,3 +532,10 @@ class TestFrameKernelReference:
 
         assert any("Y" in label for label, _ in settings("linear:3", "naive"))
         assert any(free == 0 for _, free in settings("linear:2", "product"))
+
+    def test_certain_event_hits_every_shot(self):
+        faults = frames._FaultTable(1, [("h", (0,), 1.0)], 1000)
+        frame = faults.sample(np.random.default_rng(0))
+        assert np.all(frame != 0)
+        # X, Y, Z are the frames 1, 3, 2 (x | z << 1), each on about a third of the shots
+        assert all(abs(np.count_nonzero(frame == m) - 333) < 60 for m in (1, 2, 3))
