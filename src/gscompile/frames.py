@@ -16,43 +16,90 @@ type. A shot is hit when at least one arrival lands on it, which happens
 with probability exactly p, independently across shots and events; a shot
 hit more than once by one event keeps its first arrival's type. An event
 with p = 1 hits every shot.
+
+After its faults, an element costs its two other draws and a few passes
+over whole arrays. The ideal outcome distribution in the element's basis is
+read off the state's stabilizer group, which is expanded once per estimate
+(``_Outcomes``). A shot's outcome is one integer word: its frame's flips XOR
+one fixed outcome XOR the row of free directions that its outcome draw
+selects. Readout compares each uniform with both confusion rates and keeps,
+without a branch, the comparison that applies. The observed bits of the
+support form one pattern per shot, and the pattern's sign and mitigation
+weight are gathered from tables.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circuit import TimedCircuit
-from .graphs import PauliString
-from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _mitigation_weights, _rotated_tableau
+from .graphs import PauliString, group_products
+from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _mitigation_weights
 
 # ---------------------------------------------------------------------------
 # Pauli-frame Monte Carlo
 
+WORD = np.uint32  # frames (2n bits), outcome words, span tables: n <= 12, the group's cap
+_POW2 = (1 << np.arange(12)).astype(np.float32)
 
-def _outcome_sampler(tab: Tableau):
-    """All-qubit Z-measurement distribution of a stabilizer state.
 
-    Outcomes are uniform over an affine subspace: returns (b0, basis) with
-    b0 a particular outcome and basis rows spanning the free directions.
-    They are read off the pure-Z rows of the canonical form: the row with
-    pivot Z_j fixes b[j] given the free bits, whose own value in b0 is 0.
-    """
-    n = tab.n
-    zrows = {col - n: (z, neg) for col, _, z, neg in _canonical(tab) if col >= n}
-    b0 = np.zeros(n, dtype=np.uint8)
-    for j, (_, neg) in zrows.items():
-        b0[j] = neg
-    free = [j for j in range(n) if j not in zrows]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for bi, fj in enumerate(free):
-        basis[bi, fj] = 1
-        for j, (z, _) in zrows.items():
-            basis[bi, j] = (z >> fj) & 1
-    return b0, basis
+class _Outcomes:
+    """All-qubit Z-measurement distribution of the ideal state after each
+    element's basis change, read off the state's full stabilizer group: its
+    2^n members (x mask gx, z mask gz, sign bit), expanded once from the
+    canonical rows of the circuit's own tableau. H on an X wire and S-dagger
+    then H on a Y wire leave a member with no X bit exactly when ``gx & ~A
+    == 0`` and ``gz & A == gx & S`` (A and S the element's X and Z masks);
+    its sign is kept and its Z support is ``gx | gz & ~A``. These members
+    are the outcome checks, and outcomes are uniform over the affine
+    subspace they allow (Aaronson & Gottesman, PRA 70, 052328, 2004).
+
+    ``of`` gives it as (b0, span): b0 is one outcome and ``span[i]`` the XOR
+    of the free rows selected by the bits of i. Both come from the checks'
+    reduced row echelon form with each pivot at its row's lowest set bit.
+    That form is unique, so they equal what elimination on the rotated
+    tableau gives. The pivots are the checks' lowest set bits; a row is the
+    one check that hits exactly one pivot; b0 sets the pivots of the rows
+    with sign -1; free wire j, ascending, gives the row with bit j and the
+    pivots of the rows that cover j."""
+
+    def __init__(self, tab: Tableau):
+        group = group_products([row[1:] for row in _canonical(tab)])
+        self.gx, self.gz, self.neg = np.array(group, dtype=WORD).T
+        self.full = (1 << tab.n) - 1
+
+    def of(self, element: PauliString) -> Tuple[int, np.ndarray]:
+        a = element.x_mask
+        not_a = self.full ^ a
+        # After the basis change a member's X bits are gx off A, gz on the
+        # X wires and gx ^ gz on the Y wires: all 0 exactly when these agree.
+        checks = np.flatnonzero((self.gx & (not_a | a & element.z_mask)) == (self.gz & a))
+        zs = (self.gx.take(checks) | self.gz.take(checks) & not_a).tolist()
+        pivots = 0
+        for z in zs:
+            pivots |= z & -z
+        b0, rows = 0, []
+        for z, neg in zip(zs, self.neg.take(checks).tolist()):
+            pivot = z & pivots
+            if pivot & (pivot - 1) == 0:  # one pivot hit (or none: the identity)
+                b0 |= pivot if neg else 0
+                rows.append((z, pivot))
+        free = self.full ^ pivots
+        span = np.zeros(1 << free.bit_count(), dtype=WORD)
+        size = 1
+        while free:
+            low = free & -free
+            free ^= low
+            row = low
+            for z, pivot in rows:
+                if z & low:
+                    row |= pivot
+            np.bitwise_xor(span[:size], row, out=span[size : 2 * size])
+            size *= 2
+        return b0, span
 
 
 def _fault_images(n: int, events) -> List[Tuple[float, Tuple[int, ...]]]:
@@ -102,8 +149,7 @@ class _FaultTable:
         self.rate = np.array([0.0 if p >= 1 else shots * -math.log1p(-p) for p, _ in noisy])
         self.certain = np.array([e for e, (p, _) in enumerate(noisy) if p >= 1], dtype=np.int64)
         self.ntypes = np.array([len(images) for _, images in noisy], dtype=np.int64)
-        self.dtype = np.uint32 if n <= 16 else np.uint64  # a frame has 2n bits
-        self.images = np.zeros((len(noisy), 15), dtype=self.dtype)
+        self.images = np.zeros((len(noisy), 15), dtype=WORD)
         for e, (_, images) in enumerate(noisy):
             self.images[e, : len(images)] = images
 
@@ -126,55 +172,110 @@ class _FaultTable:
         first = np.ones(order.size, dtype=bool)
         first[1:] = key[order[1:]] != key[order[:-1]]
         hit = order[first]
-        frame = np.zeros(shots, dtype=self.dtype)
+        frame = np.zeros(shots, dtype=WORD)
         np.bitwise_xor.at(frame, pos[hit], self.images[ev[hit], kind[hit]])
         return frame
 
 
+class _Readout:
+    """Readout confusion of every qubit and, built on first use because
+    elements often share a support, the readout of each support. Wire i of
+    a support is its i-th qubit, and ``wires`` gives (k, 1) columns of each
+    wire's outcome-word bit, its p01 and p10, and the shift that puts its
+    observed bit at bit i of a shot's pattern, plus the mitigation weight of
+    every pattern (None when not mitigating): the product of
+    ``_mitigation_weights`` over the wires, multiplied in support order (at
+    most 8 * 3^n bytes of tables). ``parity[sign]`` is sign times -1 to the
+    number of a pattern's set bits."""
+
+    def __init__(self, c: TimedCircuit, noise: NoiseModel, mitigate: bool):
+        self.rates = [noise.readout[q] for q in c.placement]
+        self.weights = [_mitigation_weights(*rate) for rate in self.rates] if mitigate else None
+        self.supports: Dict[int, tuple] = {}
+        parity = np.ones(1)
+        for _ in range(c.n):
+            parity = np.concatenate((parity, -parity))
+        self.parity = {1: parity, -1: -parity}
+
+    def wires(self, support: int) -> tuple:
+        if support not in self.supports:
+            vs = [v for v in range(support.bit_length()) if support >> v & 1]
+            table = None
+            if self.weights is not None:
+                table = np.ones(1 << len(vs))
+                for i, v in enumerate(vs):  # patterns with bit i are the upper half
+                    w0, w1 = self.weights[v]
+                    np.multiply(table[: 1 << i], w1, out=table[1 << i : 2 << i])
+                    table[: 1 << i] *= w0
+            p01, p10 = np.array([self.rates[v] for v in vs]).T[:, :, None]
+            index = np.uint8 if len(vs) <= 8 else np.uint16
+            masks = np.array([1 << v for v in vs], dtype=WORD)[:, None]
+            self.supports[support] = (masks, p01, p10, np.arange(len(vs), dtype=index)[:, None], table)
+        return self.supports[support]
+
+
+def _summarize(vals: np.ndarray) -> Tuple[float, float]:
+    """Mean and standard error of the mean: the arithmetic of ``vals.mean()``
+    and ``vals.std(ddof=1) / sqrt(size)``, step for step, without their
+    dispatch."""
+    shots = vals.size
+    mean = np.add.reduce(vals) / shots
+    if shots == 1:
+        return float(mean), 0.0
+    dev = vals - mean
+    dev *= dev
+    return float(mean), float(math.sqrt(np.add.reduce(dev) / (shots - 1)) / math.sqrt(shots))
+
+
 def _element_mc(
-    c: TimedCircuit,
-    noise: NoiseModel,
-    frame: Optional[np.ndarray],
-    ideal_tab: Tableau,
+    n: int,
     element: PauliString,
+    frame: Optional[np.ndarray],
+    outcomes: _Outcomes,
+    readout: _Readout,
     shots: int,
     rng,
-    mitigate: bool,
 ) -> ElementEstimate:
-    """One element's estimate from the shots' final frames (None: no faults)."""
-    b0, basis = _outcome_sampler(_rotated_tableau(ideal_tab, element))
-    support = [v for v in range(c.n) if (element.support() >> v) & 1]
+    """One element's estimate from the shots' final frames (None: no
+    faults). Each shot's outcome word is its frame's flips XOR b0 XOR the
+    span row that its outcome draw selects."""
+    b0, span = outcomes.of(element)
     if frame is None:
-        bits = np.zeros((len(support), shots), dtype=bool)
+        word = np.full(shots, b0, dtype=WORD)
     else:
         # The basis change (H for X, S-dagger then H for Y) is noiseless, so
         # a Z outcome is flipped by the rotated frame's X bit: the frame's Z
         # bit under an X, X xor Z under a Y, its X bit under a Z.
-        flips = (frame & element.z_mask) ^ (frame >> c.n & element.x_mask)
-        bits = (flips & (1 << np.array(support, dtype=frame.dtype))[:, None]) != 0
-    bits ^= b0[support, None] != 0
-    if basis.shape[0]:
-        u = rng.integers(0, 2, size=(shots, basis.shape[0]), dtype=np.uint8)
-        for col, rows in zip(np.ascontiguousarray(u.T, dtype=bool), basis[:, support] != 0):
-            bits[rows] ^= col  # a free direction flips the outcomes its basis row covers
+        word = (frame & element.z_mask) ^ (frame >> n & element.x_mask) ^ b0
+    if span.size > 1:
+        free = span.size.bit_length() - 1
+        u = rng.integers(0, 2, size=(shots, free), dtype=np.uint8)
+        # The index has bit i from u[:, i]; a float32 product is exact
+        # here (integer sums below 2^12) and faster than an integer one.
+        word ^= span.take((u @ _POW2[:free]).astype(np.intp))
 
     # One (k, shots) block of readout uniforms: the same numbers as k draws.
-    p01, p10 = np.array([noise.readout[c.placement[v]] for v in support]).T[:, :, None]
-    obs = bits ^ (rng.random((len(support), shots)) < np.where(bits, p10, p01))
-    parity = np.bitwise_xor.reduce(obs, axis=0)
+    # A true 0 reads 1 when its uniform is below p01 and a true 1 reads 0
+    # when it is below p10, so obs = bits ^ lt01 ^ (bits & (lt01 ^ lt10)).
+    # Bit i of a shot's pattern is its observed bit on wire i.
+    masks, p01, p10, shifts, weights = readout.wires(element.support())
+    ru = rng.random((masks.shape[0], shots))
+    bits = (word & masks) != 0
+    lt01 = ru < p01
+    obs = ru < p10
+    obs ^= lt01
+    obs &= bits
+    obs ^= lt01
+    obs ^= bits
+    pattern = np.bitwise_or.reduce(obs.view(np.uint8) << shifts, axis=0)
 
-    def summarize(vals):
-        err = float(vals.std(ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
-        return float(vals.mean()), err
-
-    raw, err_raw = summarize(element.sign * (1.0 - 2.0 * parity.astype(np.float64)))
+    raw, err_raw = _summarize(readout.parity[element.sign].take(pattern))
     mit = err_mit = None
-    if mitigate:
-        weights = np.ones(shots, dtype=np.float64)  # multiplied in support order
-        for row, v in zip(obs, support):
-            w0, w1 = _mitigation_weights(*noise.readout[c.placement[v]])
-            weights *= np.where(row, w1, w0)
-        mit, err_mit = summarize(element.sign * weights)
+    if weights is not None:
+        vals = weights.take(pattern)
+        if element.sign < 0:
+            np.negative(vals, out=vals)
+        mit, err_mit = _summarize(vals)
     return ElementEstimate(element.label, raw, mit, err_raw, err_mit)
 
 
@@ -193,6 +294,8 @@ def sample_elements(
     event is noisy, then its outcomes and readout. The identity element
     draws nothing: its value is its sign."""
     faults = _FaultTable(c.n, events, shots)
+    outcomes = _Outcomes(ideal_tab)
+    readout = _Readout(c, noise, mitigate)
     elements: List[ElementEstimate] = []
     for k, element in enumerate(group):
         if element.support() == 0:
@@ -202,7 +305,7 @@ def sample_elements(
             )
         else:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            elements.append(_element_mc(c, noise, faults.sample(rng), ideal_tab, element, shots, rng, mitigate))
+            elements.append(_element_mc(c.n, element, faults.sample(rng), outcomes, readout, shots, rng))
     return elements
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import CapExceededError, ValidationError
 from .subiso import adjacency, bfs_order
@@ -216,10 +216,17 @@ def stabilizer_group(g: GraphSpec) -> List[PauliString]:
             f"stabilizer group for n={g.n} exceeds cap {STABILIZER_GROUP_CAP}; "
             f"fidelity estimation needs at most {STABILIZER_GROUP_CAP} qubits"
         )
-    # (x mask, z mask, sign bit) per element; the elements commute, so each
-    # product's power of i is even and only its half flips the sign.
-    group = [(0, 0, 0)]
-    for gen in stabilizer_generators(g):
-        gx, gz = gen.x_mask, gen.z_mask
-        group += [(x ^ gx, z ^ gz, (s + (mul_phase(x, z, gx, gz) >> 1)) & 1) for x, z, s in group]
+    group = group_products([(gen.x_mask, gen.z_mask, 0) for gen in stabilizer_generators(g)])
     return [PauliString(g.n, x, z, -1 if s else 1) for x, z, s in group]
+
+
+def group_products(rows: Sequence[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
+    """All 2^len(rows) subset products of commuting signed Paulis, each given
+    and returned as (x mask, z mask, sign bit); product k takes the rows
+    selected by the bits of k, so the identity comes first. The rows
+    commute, so each product's power of i is even and only its half flips
+    the sign."""
+    group = [(0, 0, 0)]
+    for gx, gz, gs in rows:
+        group += [(x ^ gx, z ^ gz, (s + gs + (mul_phase(x, z, gx, gz) >> 1)) & 1) for x, z, s in group]
+    return group

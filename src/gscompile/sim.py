@@ -10,8 +10,9 @@ stabilizers have expectation +1. The tableau keeps one integer bitmask per
 qubit for its X and for its Z bits (bit k is row k) plus a sign mask.
 Everything read from it goes through one canonical form, the reduced row
 echelon form of its rows, combined with ``mul_phase``: expectations, the
-readout-only z-moments and the measurement distribution of the Monte Carlo
-estimator. An expectation is a membership test alone: the n rows are
+readout-only z-moments and the stabilizer group from which the Monte Carlo
+estimator reads its measurement distributions. An expectation is a
+membership test alone: the n rows are
 independent and commute, so they span a maximal commuting set, and a Pauli
 commutes with every row exactly when its X/Z bits lie in their span. Off the
 span it anticommutes with some row (expectation 0); on it, the one group

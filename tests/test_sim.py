@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 from gscompile import frames, sim
 from gscompile.circuit import circuit_from_json, derive_circuit, naive_circuit
 from gscompile.errors import CapExceededError, ValidationError
-from gscompile.frames import _outcome_sampler
 from gscompile.graphs import (
     PauliString,
     builtin_graph,
+    graph_from_edges,
     linear_graph,
     ring_graph,
     star_graph,
@@ -24,6 +25,7 @@ from gscompile.model import Objective, ObjectiveKind, build_model
 from gscompile.sim import (
     NoiseModel,
     Tableau,
+    _canonical,
     _mitigation_weights,
     _rotated_tableau,
     density_oracle,
@@ -353,6 +355,26 @@ class TestDensityOracle:
 FAULT_TYPES = {"idle": 1, "h": 3, "cx": 15}
 
 
+def _outcome_sampler(tab: Tableau):
+    """All-qubit Z-measurement distribution of a stabilizer state, by
+    elimination: (b0, basis) with b0 a particular outcome and basis rows
+    spanning the free directions, read off the pure-Z rows of the canonical
+    form. The row with pivot Z_j fixes b[j] given the free bits, whose own
+    value in b0 is 0."""
+    n = tab.n
+    zrows = {col - n: (z, neg) for col, _, z, neg in _canonical(tab) if col >= n}
+    b0 = np.zeros(n, dtype=np.uint8)
+    for j, (_, neg) in zrows.items():
+        b0[j] = neg
+    free = [j for j in range(n) if j not in zrows]
+    basis = np.zeros((len(free), n), dtype=np.uint8)
+    for bi, fj in enumerate(free):
+        basis[bi, fj] = 1
+        for j, (z, _) in zrows.items():
+            basis[bi, j] = (z >> fj) & 1
+    return b0, basis
+
+
 def reference_faults(events, shots, rng):
     """The sparse fault draws, read in the kernel's order: Poisson arrival
     counts per noisy event, one shot per arrival, then one type per arrival
@@ -478,7 +500,7 @@ def reference_circuit(name, form):
                 {"kind": "h", "wires": [0], "start_ns": 300, "end_ns": 335},
             ],
         })
-    g = {"linear:3": linear_graph(3), "linear:4": linear_graph(4), "star:4": star_graph(4)}[name]
+    g = {"linear:3": linear_graph(3), "linear:4": linear_graph(4), "star:4": star_graph(4), "linear:9": linear_graph(9)}[name]
     cal = graph_calibration(g)
     return compiled(g, cal) if form == "compiled" else naive_circuit(g, identity_embedding(g), cal)
 
@@ -495,6 +517,14 @@ def test_estimate_golden():
         for mitigate in (False, True):
             h.update(repr(estimate_fidelity(c, noise, shots=500, seed=17, mitigate=mitigate)).encode())
     assert h.hexdigest() == "47844491b0776f23df5bfebd0809a14d672e4b6fcd9a49a0a55d8a0a5490ca59"
+
+
+def assert_matches_reference(monkeypatch, c, noise, shots, mitigate):
+    got = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
+    with monkeypatch.context() as mp:
+        mp.setattr(frames, "sample_elements", reference_sample_elements)
+        want = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
+    assert got == want
 
 
 class TestFrameKernelReference:
@@ -516,11 +546,19 @@ class TestFrameKernelReference:
         }[model](cal)
         for mitigate in (False, True):
             for shots in (1, 500):
-                got = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
-                with monkeypatch.context() as mp:
-                    mp.setattr(frames, "sample_elements", reference_sample_elements)
-                    want = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
-                assert got == want
+                assert_matches_reference(monkeypatch, c, noise, shots, mitigate)
+
+    @pytest.mark.parametrize("shots", [1, 64])
+    def test_element_heavy_bit_identical_to_reference(self, monkeypatch, shots):
+        # 511 elements, some on all 9 qubits (a two-byte readout pattern) and
+        # some with 8 free outcome directions (a 256-row span table).
+        c = reference_circuit("linear:9", "naive")
+        tab = simulate_ideal(c)
+        group = stabilizer_group(c.graph)[1:]
+        assert any("I" not in el.label for el in group)
+        assert max(_outcome_sampler(_rotated_tableau(tab, el))[1].shape[0] for el in group) == 8
+        noise = NoiseModel.from_calibration(graph_calibration(c.graph, **NOISY))
+        assert_matches_reference(monkeypatch, c, noise, shots, mitigate=True)
 
     def test_cases_cover_y_and_empty_outcome_basis(self):
         def settings(name, form):
@@ -539,3 +577,65 @@ class TestFrameKernelReference:
         assert np.all(frame != 0)
         # X, Y, Z are the frames 1, 3, 2 (x | z << 1), each on about a third of the shots
         assert all(abs(np.count_nonzero(frame == m) - 333) < 60 for m in (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form outcome distributions against the tableau elimination
+
+
+def outcome_word(bits) -> int:
+    return sum(int(b) << j for j, b in enumerate(bits))
+
+
+def assert_outcomes_match_tableau(c):
+    """For every group element, ``frames._Outcomes`` gives the b0 and the
+    span table (the XOR of the free rows selected by each index) that
+    elimination on the rotated tableau gives."""
+    tab = simulate_ideal(c)
+    outcomes = frames._Outcomes(tab)
+    for el in stabilizer_group(c.graph):
+        b0, basis = _outcome_sampler(_rotated_tableau(tab, el))
+        span = np.zeros(1, dtype=frames.WORD)
+        for row in basis:
+            span = np.concatenate((span, span ^ outcome_word(row)))
+        got_b0, got_span = outcomes.of(el)
+        assert got_b0 == outcome_word(b0), el.label
+        assert got_span.dtype == span.dtype and np.array_equal(got_span, span), el.label
+
+
+@st.composite
+def connected_graphs(draw, max_n=7, max_extra=3):
+    """A random tree on 2..max_n vertices plus up to max_extra more edges:
+    at most 9 edges, within the exact search's CNOT cap."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(a, b) for b in range(n) for a in range(b) if (a, b) not in edges]
+    if others:
+        edges |= set(draw(st.lists(st.sampled_from(others), max_size=max_extra, unique=True)))
+    return graph_from_edges(n, edges)
+
+
+class TestClosedFormOutcomes:
+    @given(connected_graphs(), st.sampled_from(["compiled", "naive"]))
+    @settings(max_examples=30, deadline=None)
+    def test_random_graphs(self, g, form):
+        cal = graph_calibration(g)
+        c = compiled(g, cal) if form == "compiled" else naive_circuit(g, identity_embedding(g), cal)
+        assert_outcomes_match_tableau(c)
+
+    def test_product_circuit(self):
+        assert_outcomes_match_tableau(reference_circuit("linear:2", "product"))
+
+    def test_circuit_missing_a_cnot(self):
+        # Not the graph state: the distributions come from the circuit's own
+        # tableau, so they must still match elimination on it.
+        g = star_graph(5)
+        c = naive_circuit(g, identity_embedding(g), graph_calibration(g))
+        k = next(k for k, tg in enumerate(c.gates) if tg.kind == "cx")
+        c = dataclasses.replace(c, gates=c.gates[:k] + c.gates[k + 1 :])
+        assert expectation(simulate_ideal(c), stabilizer_generators(g)[0]) != 1
+        assert_outcomes_match_tableau(c)
+
+    def test_twelve_qubits(self):
+        g = ring_graph(12)
+        assert_outcomes_match_tableau(naive_circuit(g, identity_embedding(g), graph_calibration(g)))
