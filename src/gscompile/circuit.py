@@ -197,6 +197,8 @@ def circuit_from_json(data: dict) -> TimedCircuit:
     ValidationError that names it."""
     _require_keys(data, ("n", "placement", "makespan_ns", "gates"), "circuit file")
     n = _int_field(data["n"], "n")
+    if n < 2:
+        raise ValidationError(f"circuit file: n must be at least 2, got {n}")
     makespan = _time_field(data["makespan_ns"], "makespan_ns")
     placement = data["placement"]
     if not (isinstance(placement, list) and all(_is_int(q) for q in placement)
@@ -237,12 +239,16 @@ def circuit_from_json(data: dict) -> TimedCircuit:
     last_end = max((g.end for g in gates), default=0)
     if makespan < last_end:
         raise ValidationError(f"circuit file: makespan_ns {makespan} is before the last gate end {last_end}")
+    try:  # with n >= 2 and edges between placement qubits, connectivity is all that can fail
+        graph = graph_from_edges(n, edges)
+    except ValidationError:
+        raise ValidationError(f"circuit file: the cx gates' graph on {n} vertices is not connected") from None
     return TimedCircuit(
         n=n,
         placement=tuple(placement),
         gates=tuple(gates),
         makespan=Fraction(makespan),
-        graph=graph_from_edges(n, edges),
+        graph=graph,
     )
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .circuit import TimedCircuit
 from .graphs import PauliString, group_products
-from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _mitigation_weights
+from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _readout_rates
 
 # ---------------------------------------------------------------------------
 # Pauli-frame Monte Carlo
@@ -61,10 +61,11 @@ class _Outcomes:
     of the free rows selected by the bits of i. Both come from the checks'
     reduced row echelon form with each pivot at its row's lowest set bit.
     That form is unique, so they equal what elimination on the rotated
-    tableau gives. The pivots are the checks' lowest set bits; a row is the
-    one check that hits exactly one pivot; b0 sets the pivots of the rows
-    with sign -1; free wire j, ascending, gives the row with bit j and the
-    pivots of the rows that cover j."""
+    tableau gives, the reference that ``tests/test_sim.py`` compares them
+    with. The pivots are the checks' lowest set bits; a row is the one check
+    that hits exactly one pivot; b0 sets the pivots of the rows with sign
+    -1; free wire j, ascending, gives the row with bit j and the pivots of
+    the rows that cover j."""
 
     def __init__(self, tab: Tableau):
         group = group_products([row[1:] for row in _canonical(tab)])
@@ -189,8 +190,7 @@ class _Readout:
     number of a pattern's set bits."""
 
     def __init__(self, c: TimedCircuit, noise: NoiseModel, mitigate: bool):
-        self.rates = [noise.readout[q] for q in c.placement]
-        self.weights = [_mitigation_weights(*rate) for rate in self.rates] if mitigate else None
+        self.rates, self.weights = _readout_rates(c, noise, mitigate)
         self.supports: Dict[int, tuple] = {}
         parity = np.ones(1)
         for _ in range(c.n):

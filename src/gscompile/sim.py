@@ -7,12 +7,14 @@ check and the analytic estimate never do.
 
 Ideal verification runs the circuit on a stabilizer tableau and checks that
 stabilizers have expectation +1. The tableau keeps one integer bitmask per
-qubit for its X and for its Z bits (bit k is row k) plus a sign mask.
-Everything read from it goes through one canonical form, the reduced row
-echelon form of its rows, combined with ``mul_phase``: expectations, the
-readout-only z-moments and the stabilizer group from which the Monte Carlo
-estimator reads its measurement distributions. An expectation is a
-membership test alone: the n rows are
+qubit for its X and for its Z bits (bit k is row k) plus a sign mask, and
+has the circuits' two gates, H and CNOT. Every reader of the prepared state
+goes through one canonical form of the circuit's own tableau, the reduced
+row echelon form of its rows, combined with ``mul_phase``: expectations and
+so ``verify_graph_state``, the analytic estimate's z-moments (each one an
+element restricted to a subset of its support) and the stabilizer group from
+which the Monte Carlo estimator reads its measurement distributions. An
+expectation is a membership test alone: the n rows are
 independent and commute, so they span a maximal commuting set, and a Pauli
 commutes with every row exactly when its X/Z bits lie in their span. Off the
 span it anticommutes with some row (expectation 0); on it, the one group
@@ -38,6 +40,7 @@ from .errors import CapExceededError, SolutionError, ValidationError
 from .graphs import PauliString, _is_int, mul_phase, stabilizer_generators, stabilizer_group
 
 DENSITY_CAP = 5
+Canon = Tuple[Tuple[int, int, int, int], ...]  # canonical rows: (pivot column, X mask, Z mask, sign bit)
 
 
 # ---------------------------------------------------------------------------
@@ -55,22 +58,12 @@ class Tableau:
         self.x = [0] * n
         self.z = [1 << q for q in range(n)]  # row q is +Z_q: |0...0>
         self.r = 0
-        self.canon: Optional[Tuple[Tuple[int, int, int, int], ...]] = None
-
-    def copy(self) -> "Tableau":
-        t = Tableau.__new__(Tableau)
-        t.n, t.x, t.z, t.r, t.canon = self.n, list(self.x), list(self.z), self.r, self.canon
-        return t
+        self.canon: Optional[Canon] = None
 
     def h(self, q: int) -> None:
         self.canon = None
         self.r ^= self.x[q] & self.z[q]
         self.x[q], self.z[q] = self.z[q], self.x[q]
-
-    def sdg(self, q: int) -> None:
-        self.canon = None
-        self.r ^= self.x[q] & ~self.z[q]
-        self.z[q] ^= self.x[q]
 
     def cx(self, c: int, t: int) -> None:
         self.canon = None
@@ -105,7 +98,7 @@ def _transpose(cols: List[int]) -> List[int]:
     return rows
 
 
-def _canonical(tab: Tableau) -> Tuple[Tuple[int, int, int, int], ...]:
+def _canonical(tab: Tableau) -> Canon:
     """Reduced row echelon form of the stabilizer rows over the 2n symplectic
     columns, X block first, as (pivot column, X mask, Z mask, sign bit)
     rows. Rows are plain masks combined with ``mul_phase``, so signs stay
@@ -146,7 +139,7 @@ def _canonical(tab: Tableau) -> Tuple[Tuple[int, int, int, int], ...]:
     return tab.canon
 
 
-def _member(canon: Tuple[Tuple[int, int, int, int], ...], x: int, z: int) -> Optional[int]:
+def _member(canon: Canon, x: int, z: int) -> Optional[int]:
     """Sign of the group element with X/Z masks (x, z), or None when no
     element has them. In reduced form only pivot row k has pivot column k,
     so the element is the product of the rows whose pivots the bits hit.
@@ -274,18 +267,6 @@ def _event_stream(c: TimedCircuit, noise: NoiseModel):
     return events
 
 
-def _rotated_tableau(tab: Tableau, element: PauliString) -> Tableau:
-    """The state after the basis change mapping each X of the element to Z
-    (H) and each Y to Z (S-dagger, then H)."""
-    t = tab.copy()
-    for v in range(element.n):
-        if (element.x_mask >> v) & 1:
-            if (element.z_mask >> v) & 1:
-                t.sdg(v)
-            t.h(v)
-    return t
-
-
 def _mitigation_weights(p01: float, p10: float) -> Tuple[float, float]:
     """Per-qubit weights w(observed bit) with E[w] = (-1)^(true bit)."""
     det = 1.0 - p01 - p10
@@ -294,6 +275,15 @@ def _mitigation_weights(p01: float, p10: float) -> Tuple[float, float]:
             f"readout confusion with p01={p01}, p10={p10} is not invertible"
         )
     return (1.0 + p01 - p10) / det, -(1.0 - p01 + p10) / det
+
+
+def _readout_rates(c: TimedCircuit, noise: NoiseModel, mitigate: bool) -> Tuple[list, Optional[list]]:
+    """(p01, p10) of each vertex's qubit, in vertex order, and, when
+    mitigating, each one's ``_mitigation_weights`` (None otherwise). Both
+    estimators read the readout here, so a confusion that cannot be inverted
+    fails the same way in both, naming the lowest vertex's qubit."""
+    rates = [noise.readout[q] for q in c.placement]
+    return rates, [_mitigation_weights(*rate) for rate in rates] if mitigate else None
 
 
 @dataclass(frozen=True)
@@ -319,41 +309,41 @@ class NoisyEstimate:
     elements: Tuple[ElementEstimate, ...]
 
 
+def _z_moment(canon: Canon, element: PauliString, m: int) -> float:
+    """<Z_M> on the state after the element's basis change, M the vertices
+    of mask m within its support. H Z H = X on an X wire, and S H Z H S-dagger
+    = Y on a Y wire, so it is the expectation of the element restricted to M
+    on the unrotated state: one membership test against its canonical rows,
+    whose sign convention is the Hermitian one these restrictions have."""
+    sign = _member(canon, element.x_mask & m, element.z_mask & m)
+    return 0.0 if sign is None else float(sign)
+
+
 def _element_analytic(
-    c: TimedCircuit,
-    noise: NoiseModel,
-    ideal_tab: Tableau,
-    element: PauliString,
-    mitigate: bool,
+    element: PauliString, canon: Canon, rates: List[Tuple[float, float]], mitigate: bool
 ) -> ElementEstimate:
-    """Closed-form expectation under readout confusion alone.
+    """Closed-form expectation under readout confusion alone, from the
+    canonical rows of the circuit's tableau and the readout rates by vertex.
 
     Gate and idle noise are ignored in this mode; exact for readout-limited
     noise models.
     """
-    n = c.n
-    canon = _canonical(_rotated_tableau(ideal_tab, element))
-    support = [v for v in range(n) if (element.support() >> v) & 1]
-
-    def z_moment(subset: Tuple[int, ...]) -> float:
-        sign = _member(canon, 0, sum(1 << v for v in subset))
-        return 0.0 if sign is None else float(sign)
-
+    support = [v for v in range(element.n) if (element.support() >> v) & 1]
     raw = 0.0
     for mask in range(1 << len(support)):
         term = 1.0
-        subset = []
+        subset = 0
         for idx, v in enumerate(support):
-            p01, p10 = noise.readout[c.placement[v]]
+            p01, p10 = rates[v]
             if (mask >> idx) & 1:
-                subset.append(v)
+                subset |= 1 << v
                 term *= 1.0 - p01 - p10
             else:
                 term *= p10 - p01
         if term != 0.0:
-            raw += term * z_moment(tuple(subset))
+            raw += term * _z_moment(canon, element, subset)
     raw *= element.sign
-    mit = element.sign * z_moment(tuple(support)) if mitigate else None
+    mit = element.sign * _z_moment(canon, element, element.support()) if mitigate else None
     return ElementEstimate(element.label, raw, mit, 0.0, 0.0 if mitigate else None)
 
 
@@ -389,7 +379,9 @@ def estimate_fidelity(
     events = _event_stream(c, noise)
 
     if analytic:  # the identity element's closed form is its sign
-        elements = [_element_analytic(c, noise, ideal_tab, element, mitigate) for element in group]
+        canon = _canonical(ideal_tab)
+        rates, _ = _readout_rates(c, noise, mitigate)
+        elements = [_element_analytic(element, canon, rates, mitigate) for element in group]
     else:
         from . import frames  # numpy: loaded once a noisy estimate is sampled
 

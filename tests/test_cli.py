@@ -245,12 +245,13 @@ class TestOtherCommands:
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert named in err and "Traceback" not in err
 
-    def test_simulate_readout_not_invertible_exit_1(self, tmp_path, capsys, sym3_path):
+    @pytest.mark.parametrize("mode", [[], ["--analytic"]], ids=["sampled", "analytic"])
+    def test_simulate_readout_not_invertible_exit_1(self, tmp_path, capsys, sym3_path, mode):
         circ = tmp_path / "c.json"
         run_main(["compile", "--graph", "linear:3", "--cal", sym3_path, "--out", str(circ)], capsys)
         noise = tmp_path / "noise.json"
         save_calibration(line_calibration(3, p01=0.7, p10=0.4), noise)
-        argv = ["simulate", "--circuit", str(circ), "--noise-from", str(noise), "--mitigate", "--shots", "16"]
+        argv = ["simulate", "--circuit", str(circ), "--noise-from", str(noise), "--mitigate", "--shots", "16", *mode]
         code, stdout, err = run_main(argv, capsys)
         assert code == 1 and stdout == ""
         assert err == "gscompile: readout confusion with p01=0.7, p10=0.4 is not invertible\n"
@@ -388,6 +389,8 @@ class TestMalformedInput:
             (lambda c: c["gates"][0].update(bogus=1), "circuit file: gates[0]: unknown keys ['bogus']"),
             (lambda c: c.update(bogus=1), "circuit file: unknown keys ['bogus']"),
             (lambda c: c.pop("makespan_ns"), "circuit file: missing keys ['makespan_ns']"),
+            (lambda c: c["gates"].pop(2), "circuit file: the cx gates' graph on 2 vertices is not connected"),
+            (lambda c: c.update(n=1), "circuit file: n must be at least 2, got 1"),
         ],
     )
     def test_bad_circuit_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):
@@ -613,10 +616,15 @@ from gscompile.device import load_calibration, sample_calibration_path
 from gscompile.sim import NoiseModel, estimate_fidelity
 
 noise = NoiseModel.from_calibration(load_calibration(sample_calibration_path()))
-est = estimate_fidelity(load_circuit(sys.argv[1]), noise, shots=200, seed=3, mitigate=True)
+circuit = load_circuit(sys.argv[1])
+analytic = estimate_fidelity(circuit, noise, analytic=True, mitigate=True)
+after_analytic = "numpy" in sys.modules
+est = estimate_fidelity(circuit, noise, shots=200, seed=3, mitigate=True)
 print(json.dumps({
     "code": code,
     "numpy_after_compile": after_compile,
+    "numpy_after_analytic": after_analytic,
+    "analytic_mitigated": analytic.fidelity_mitigated,
     "numpy_after_estimate": "numpy" in sys.modules,
     "fidelity_raw": est.fidelity_raw,
     "stderr_raw": est.stderr_raw,
@@ -626,8 +634,8 @@ print(json.dumps({
 
 
 def test_compile_does_not_load_numpy(tmp_path):
-    # A fresh interpreter: place, solve, derive and the tableau check run
-    # without numpy; the first sampled estimate loads it.
+    # A fresh interpreter: place, solve, derive, the tableau check and the
+    # analytic estimate run without numpy; the first sampled estimate loads it.
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     env.pop("GSCOMPILE_CALIBRATION", None)
@@ -639,6 +647,8 @@ def test_compile_does_not_load_numpy(tmp_path):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["code"] == 0
     assert got["numpy_after_compile"] is False
+    assert got["numpy_after_analytic"] is False
+    assert got["analytic_mitigated"] == 1.0  # readout-only: the gate and idle noise are ignored
     assert got["numpy_after_estimate"] is True
     assert 0.0 < got["fidelity_raw"] <= 1.0 and got["stderr_raw"] > 0.0
     assert got["elements"] == 16

@@ -26,8 +26,9 @@ from gscompile.sim import (
     NoiseModel,
     Tableau,
     _canonical,
+    _member,
     _mitigation_weights,
-    _rotated_tableau,
+    _z_moment,
     density_oracle,
     estimate_fidelity,
     expectation,
@@ -92,9 +93,7 @@ class TestExpectationOracle:
     @settings(max_examples=80, deadline=None)
     def test_matches_statevector(self, ops, xm, zm, sign):
         n = 3
-        tab = Tableau(n)
-        for kind, *ws in ops:
-            getattr(tab, kind[:2] if kind == "cx" else kind)(*ws)
+        tab = tableau_of(n, ops)
         p = PauliString(n, xm, zm, sign)
         psi = statevector(n, ops)
         val = np.real(psi.conj() @ dense(p) @ psi)
@@ -353,6 +352,35 @@ class TestDensityOracle:
 # Frame kernel pinned against a reference copy of its first form
 
 FAULT_TYPES = {"idle": 1, "h": 3, "cx": 15}
+
+
+def _sdg(tab: Tableau, q: int) -> None:
+    """S-dagger on a tableau: not a gate of any circuit, so only the tests'
+    states and basis changes use it."""
+    tab.canon = None
+    tab.r ^= tab.x[q] & ~tab.z[q]
+    tab.z[q] ^= tab.x[q]
+
+
+def tableau_of(n, ops):
+    """The tableau of a ``clifford_ops`` sequence applied to |0...0>."""
+    tab = Tableau(n)
+    for kind, *ws in ops:
+        {"h": Tableau.h, "sdg": _sdg, "cx": Tableau.cx}[kind](tab, *ws)
+    return tab
+
+
+def _rotated_tableau(tab: Tableau, element: PauliString) -> Tableau:
+    """A copy of the state after the basis change mapping each X of the
+    element to Z (H) and each Y to Z (S-dagger, then H)."""
+    t = Tableau(tab.n)
+    t.x, t.z, t.r = list(tab.x), list(tab.z), tab.r
+    for v in range(element.n):
+        if (element.x_mask >> v) & 1:
+            if (element.z_mask >> v) & 1:
+                _sdg(t, v)
+            t.h(v)
+    return t
 
 
 def _outcome_sampler(tab: Tableau):
@@ -639,3 +667,37 @@ class TestClosedFormOutcomes:
     def test_twelve_qubits(self):
         g = ring_graph(12)
         assert_outcomes_match_tableau(naive_circuit(g, identity_embedding(g), graph_calibration(g)))
+
+
+# ---------------------------------------------------------------------------
+# Analytic z-moments against the rotated tableau
+
+
+@st.composite
+def clifford_states(draw, max_n=4):
+    n = draw(st.integers(2, max_n))
+    return n, draw(clifford_ops(n=n, max_len=12))
+
+
+class TestRestrictedZMoments:
+    @given(clifford_states(), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rotated_tableau(self, state, seed):
+        # <Z_M> after a Pauli's basis change is the Pauli restricted to M on
+        # the unrotated state. Every Pauli P, with a random sign that neither
+        # side may read, and every M within its support.
+        n, ops = state
+        tab = tableau_of(n, ops)
+        canon = _canonical(tab)
+        rng = random.Random(seed)
+        for x in range(1 << n):
+            for z in range(1 << n):
+                p = PauliString(n, x, z, rng.choice((1, -1)))
+                rotated = _canonical(_rotated_tableau(tab, p))
+                m = p.support()
+                while True:  # every submask of the support, down to 0
+                    sign = _member(rotated, 0, m)
+                    assert _z_moment(canon, p, m) == (0.0 if sign is None else float(sign)), (p.label, m)
+                    if m == 0:
+                        break
+                    m = (m - 1) & p.support()
