@@ -17,33 +17,32 @@ with probability exactly p, independently across shots and events; a shot
 hit more than once by one event keeps its first arrival's type. An event
 with p = 1 hits every shot.
 
-After its faults, an element costs its two other draws and a few passes
-over whole arrays. The ideal outcome distribution in the element's basis is
-read off the state's stabilizer group, which is expanded once per estimate
-(``_Outcomes``). A shot's outcome is one integer word: its frame's flips XOR
-one fixed outcome XOR the row of free directions that its outcome draw
-selects. Readout compares each uniform with both confusion rates and keeps,
-without a branch, the comparison that applies. The observed bits of the
-support form one pattern per shot, and the pattern's sign and mitigation
-weight are gathered from tables.
+Elements are sampled a block at a time, one shot slot per (element, shot),
+from one stream. As in Stim's frame simulator, a shot's outcome is one
+reference outcome XOR the flips of its frame times a uniform member of the
+state's stabilizer group. Readout is sparse too: a wire gets Poisson-drawn
+candidate shots at rate max(p01, p10), and a candidate flips with chance
+p01 / max or p10 / max by its true bit. An element's shots reduce to a
+histogram of its support words, which gives its raw and mitigated values.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .circuit import TimedCircuit
+from .errors import CapExceededError
 from .graphs import PauliString, group_products
 from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _readout_rates
 
 # ---------------------------------------------------------------------------
 # Pauli-frame Monte Carlo
 
-WORD = np.uint32  # frames (2n bits), outcome words, span tables: n <= 12, the group's cap
-_POW2 = (1 << np.arange(12)).astype(np.float32)
+WORD = np.uint32  # frames (2n bits) and outcome words: n <= 12, the group's cap
+BLOCK = 1 << 14  # a block's shot slots and histogram entries are at most this
 
 
 class _Outcomes:
@@ -57,50 +56,39 @@ class _Outcomes:
     are the outcome checks, and outcomes are uniform over the affine
     subspace they allow (Aaronson & Gottesman, PRA 70, 052328, 2004).
 
-    ``of`` gives it as (b0, span): b0 is one outcome and ``span[i]`` the XOR
-    of the free rows selected by the bits of i. Both come from the checks'
-    reduced row echelon form with each pivot at its row's lowest set bit.
-    That form is unique, so they equal what elimination on the rotated
-    tableau gives, the reference that ``tests/test_sim.py`` compares them
-    with. The pivots are the checks' lowest set bits; a row is the one check
-    that hits exactly one pivot; b0 sets the pivots of the rows with sign
-    -1; free wire j, ascending, gives the row with bit j and the pivots of
-    the rows that cover j."""
+    ``of`` gives one outcome b0 per element from the checks' reduced row
+    echelon form with each pivot at its row's lowest set bit: the pivots are
+    the checks' lowest set bits, a row is the one check that hits exactly
+    one pivot, and b0 sets the pivots of the rows with sign -1. Members
+    commute with the checks, and the checks are the members without
+    ``_flips``, so a uniform ``member`` flips to a uniform free direction."""
 
     def __init__(self, tab: Tableau):
         group = group_products([row[1:] for row in _canonical(tab)])
         self.gx, self.gz, self.neg = np.array(group, dtype=WORD).T
+        self.member = self.gx | self.gz << tab.n
         self.full = (1 << tab.n) - 1
 
-    def of(self, element: PauliString) -> Tuple[int, np.ndarray]:
-        a = element.x_mask
-        not_a = self.full ^ a
+    def of(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """b0 of each element with X and Z masks from the (m, 1) arrays x, z."""
+        not_a = self.full ^ x
         # After the basis change a member's X bits are gx off A, gz on the
         # X wires and gx ^ gz on the Y wires: all 0 exactly when these agree.
-        checks = np.flatnonzero((self.gx & (not_a | a & element.z_mask)) == (self.gz & a))
-        zs = (self.gx.take(checks) | self.gz.take(checks) & not_a).tolist()
-        pivots = 0
-        for z in zs:
-            pivots |= z & -z
-        b0, rows = 0, []
-        for z, neg in zip(zs, self.neg.take(checks).tolist()):
-            pivot = z & pivots
-            if pivot & (pivot - 1) == 0:  # one pivot hit (or none: the identity)
-                b0 |= pivot if neg else 0
-                rows.append((z, pivot))
-        free = self.full ^ pivots
-        span = np.zeros(1 << free.bit_count(), dtype=WORD)
-        size = 1
-        while free:
-            low = free & -free
-            free ^= low
-            row = low
-            for z, pivot in rows:
-                if z & low:
-                    row |= pivot
-            np.bitwise_xor(span[:size], row, out=span[size : 2 * size])
-            size *= 2
-        return b0, span
+        check = (self.gx & (not_a | x & z)) == (self.gz & x)
+        zs = self.gx | self.gz & not_a
+        pivots = np.bitwise_or.reduce(np.where(check, zs & (~zs + 1), 0), axis=1, keepdims=True)
+        pivot = zs & pivots
+        row = check & (self.neg == 1) & (pivot & (pivot - 1) == 0)  # one pivot hit (or none: the identity)
+        return np.bitwise_or.reduce(np.where(row, pivot, 0), axis=1)
+
+
+def _flips(frame, x, z, n: int):
+    """Outcome flips of frames measured after the basis change of an element
+    with X mask x and Z mask z. The basis change (H for X, S-dagger then H
+    for Y) is noiseless, so a Z outcome is flipped by the rotated frame's X
+    bit: the frame's Z bit under an X, X xor Z under a Y, its X bit under a
+    Z. Only the element's support gets flips."""
+    return (frame & z) ^ (frame >> n & x)
 
 
 def _fault_images(n: int, events) -> List[Tuple[float, Tuple[int, ...]]]:
@@ -139,6 +127,16 @@ def _fault_images(n: int, events) -> List[Tuple[float, Tuple[int, ...]]]:
     return noisy
 
 
+def _key_bits(slots: int, events: int, arrivals: int) -> int:
+    """Width b of the arrival index in the first-arrival key ``(slot * events
+    + event) << b | index``. Raises ``CapExceededError`` when some key would
+    not fit in int64, so a key never wraps."""
+    b = max(arrivals - 1, 0).bit_length()
+    if slots * events << b > 1 << 63:
+        raise CapExceededError(f"{slots} shot slots x {events} noisy events x {arrivals} arrivals overflow the fault key")
+    return b
+
+
 class _FaultTable:
     """The noisy events of one estimate as arrays: the Poisson rate of each
     over all shots (0 where p = 1), the events with p = 1, the number of
@@ -154,129 +152,111 @@ class _FaultTable:
         for e, (_, images) in enumerate(noisy):
             self.images[e, : len(images)] = images
 
-    def sample(self, rng) -> Optional[np.ndarray]:
-        """Final frame of every shot, or None without drawing when no event
-        is noisy. Draws, in order: the arrival count of every noisy event
-        (``poisson``), the shot of every arrival, then the fault type of
-        every arrival and of every shot of each p = 1 event, in event order."""
+    def sample(self, rng, elements: int) -> np.ndarray:
+        """Fault frame of every shot slot ``i * shots + s`` of a block (shot s
+        of its element i). Draws, when some event is noisy: the arrival
+        counts of every (element, noisy event), row-major (``poisson``); the
+        shot of every arrival; then a type for every arrival and (element,
+        p = 1 event, shot), row-major: an integer below 15 modulo the
+        event's 1, 3 or 15 types, which divide 15, so types are uniform."""
         events, shots = len(self.rate), self.shots
+        frame = np.zeros(elements * shots, dtype=WORD)
         if not events:
-            return None
-        ev = np.repeat(np.arange(events), rng.poisson(self.rate))
-        pos = rng.integers(0, shots, size=ev.size)
+            return frame
+        cells = np.arange(elements * events)
+        element, event = np.divmod(cells, events)
+        cell = np.repeat(cells, rng.poisson(self.rate, size=(elements, events)).ravel())
+        ev = event.take(cell)
+        slot = (element * shots).take(cell) + rng.integers(0, shots, size=cell.size)
         if self.certain.size:
-            ev = np.concatenate((ev, np.repeat(self.certain, shots)))
-            pos = np.concatenate((pos, np.tile(np.arange(shots), self.certain.size)))
-        kind = rng.integers(0, self.ntypes[ev])
-        key = pos * events + ev
-        order = np.argsort(key, kind="stable")  # arrivals of one (shot, event) stay in draw order
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = key[order[1:]] != key[order[:-1]]
-        hit = order[first]
-        frame = np.zeros(shots, dtype=WORD)
-        np.bitwise_xor.at(frame, pos[hit], self.images[ev[hit], kind[hit]])
+            every = (elements, self.certain.size, shots)
+            ev = np.concatenate((ev, np.broadcast_to(self.certain[:, None], every).ravel()))
+            base = np.arange(0, elements * shots, shots)[:, None, None]
+            slot = np.concatenate((slot, np.broadcast_to(base + np.arange(shots), every).ravel()))
+        kind = rng.integers(0, 15, size=ev.size) % self.ntypes.take(ev)
+        # Keys are unique, so a plain sort puts each (slot, event)'s arrivals
+        # together in draw order.
+        b = _key_bits(frame.size, events, ev.size)
+        key = np.sort((slot * events + ev) << b | np.arange(ev.size))
+        hit = key[np.diff(key >> b, prepend=-1) != 0] & ((1 << b) - 1)
+        np.bitwise_xor.at(frame, slot.take(hit), self.images.take(ev.take(hit) * 15 + kind.take(hit)))
         return frame
 
 
+def _product_table(factors: Sequence[float]) -> np.ndarray:
+    """table[w]: the product of factors[v] over the set bits v of w, taken
+    in ascending v."""
+    table = np.ones(1)
+    for f in factors:
+        table = np.concatenate((table, table * f))
+    return table
+
+
 class _Readout:
-    """Readout confusion of every qubit and, built on first use because
-    elements often share a support, the readout of each support. Wire i of
-    a support is its i-th qubit, and ``wires`` gives (k, 1) columns of each
-    wire's outcome-word bit, its p01 and p10, and the shift that puts its
-    observed bit at bit i of a shot's pattern, plus the mitigation weight of
-    every pattern (None when not mitigating): the product of
-    ``_mitigation_weights`` over the wires, multiplied in support order (at
-    most 8 * 3^n bytes of tables). ``parity[sign]`` is sign times -1 to the
-    number of a pattern's set bits."""
+    """Readout confusion by vertex as the sparse draws use it: each wire's
+    rate of candidate shots, -shots * log(1 - pmax) with pmax = max(p01,
+    p10) (0 where pmax = 1: every shot is a candidate), and ``flip[b * n +
+    v]``, p01 / pmax or p10 / pmax as the true bit b is 0 or 1. Tables over
+    support words w: ``parity[w]``, -1 to the number of set bits, and, when
+    mitigating, ``ratio[w]`` and ``w0[w]``, the products of w1 / w0 and of
+    w0 (``_mitigation_weights``) over the set bits: a shot that reads w on
+    support S is worth w0[S] * ratio[w]."""
 
-    def __init__(self, c: TimedCircuit, noise: NoiseModel, mitigate: bool):
-        self.rates, self.weights = _readout_rates(c, noise, mitigate)
-        self.supports: Dict[int, tuple] = {}
-        parity = np.ones(1)
-        for _ in range(c.n):
-            parity = np.concatenate((parity, -parity))
-        self.parity = {1: parity, -1: -parity}
+    def __init__(self, c: TimedCircuit, noise: NoiseModel, mitigate: bool, shots: int):
+        rates, weights = _readout_rates(c, noise, mitigate)
+        pmax = [max(rate) for rate in rates]
+        self.rate = np.array([0.0 if p >= 1 else shots * -math.log1p(-p) for p in pmax])
+        self.certain = np.array([p >= 1 for p in pmax], dtype=np.int64)
+        self.flip = np.array([rate[b] / p if p > 0 else 0.0 for b in (0, 1) for rate, p in zip(rates, pmax)])
+        self.parity = _product_table([-1.0] * c.n)
+        self.ratio = self.w0 = None
+        if weights is not None:
+            self.ratio = _product_table([w1 / w0 for w0, w1 in weights])
+            self.w0 = _product_table([w0 for w0, _ in weights])
 
-    def wires(self, support: int) -> tuple:
-        if support not in self.supports:
-            vs = [v for v in range(support.bit_length()) if support >> v & 1]
-            table = None
-            if self.weights is not None:
-                table = np.ones(1 << len(vs))
-                for i, v in enumerate(vs):  # patterns with bit i are the upper half
-                    w0, w1 = self.weights[v]
-                    np.multiply(table[: 1 << i], w1, out=table[1 << i : 2 << i])
-                    table[: 1 << i] *= w0
-            p01, p10 = np.array([self.rates[v] for v in vs]).T[:, :, None]
-            index = np.uint8 if len(vs) <= 8 else np.uint16
-            masks = np.array([1 << v for v in vs], dtype=WORD)[:, None]
-            self.supports[support] = (masks, p01, p10, np.arange(len(vs), dtype=index)[:, None], table)
-        return self.supports[support]
+    def apply(self, rng, word: np.ndarray, supports: np.ndarray) -> None:
+        """Flip the read bits of a block's (elements, shots) outcome words in
+        place. Draws, in order: the candidate counts of every (element,
+        wire), row-major, at the wire's rate on the element's support and 0
+        off it (``poisson``); the shot of every candidate; then one uniform
+        per (shot slot, wire) with a candidate, in ascending (slot, wire)
+        order, below whose flip chance the bit flips."""
+        elements, shots = word.shape
+        n = self.rate.size
+        cells = np.arange(elements * n)
+        element, wire = np.divmod(cells, n)
+        on = supports.take(element) >> wire & 1
+        cell = np.repeat(cells, rng.poisson(self.rate.take(wire) * on))
+        b = (n - 1).bit_length()
+        key = ((element * shots).take(cell) + rng.integers(0, shots, size=cell.size)) << b | wire.take(cell)
+        sure = np.flatnonzero(on & self.certain.take(wire))
+        if sure.size:
+            every = ((element * shots).take(sure)[:, None] + np.arange(shots)) << b | wire.take(sure)[:, None]
+            key = np.concatenate((key, every.ravel()))
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+        slot, wire = key >> b, key & ((1 << b) - 1)
+        word = word.reshape(-1)
+        bit = word.take(slot) >> wire & 1
+        flip = rng.random(key.size) < self.flip.take(bit * n + wire)
+        # The flips of one slot are distinct bits, so their sum is their XOR.
+        delta = np.zeros(word.size, dtype=WORD)
+        np.add.at(delta, slot[flip], (1 << wire[flip]).astype(WORD))
+        word ^= delta
 
 
-def _summarize(vals: np.ndarray) -> Tuple[float, float]:
-    """Mean and standard error of the mean: the arithmetic of ``vals.mean()``
-    and ``vals.std(ddof=1) / sqrt(size)``, step for step, without their
-    dispatch."""
-    shots = vals.size
-    mean = np.add.reduce(vals) / shots
+def _summarize(hist: np.ndarray, table: np.ndarray, scale: np.ndarray, shots: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the mean of each element of a block, from
+    its histogram: ``hist[i, w]`` shots of element i read support word w,
+    each worth ``scale[i] * table[w]``. Two passes over the histogram: the
+    mean, then the squared deviations from it (none for one shot)."""
+    vals = scale[:, None] * table
+    mean = (hist * vals).sum(axis=1) / shots
     if shots == 1:
-        return float(mean), 0.0
-    dev = vals - mean
+        return mean, np.zeros_like(mean)
+    dev = vals - mean[:, None]
     dev *= dev
-    return float(mean), float(math.sqrt(np.add.reduce(dev) / (shots - 1)) / math.sqrt(shots))
-
-
-def _element_mc(
-    n: int,
-    element: PauliString,
-    frame: Optional[np.ndarray],
-    outcomes: _Outcomes,
-    readout: _Readout,
-    shots: int,
-    rng,
-) -> ElementEstimate:
-    """One element's estimate from the shots' final frames (None: no
-    faults). Each shot's outcome word is its frame's flips XOR b0 XOR the
-    span row that its outcome draw selects."""
-    b0, span = outcomes.of(element)
-    if frame is None:
-        word = np.full(shots, b0, dtype=WORD)
-    else:
-        # The basis change (H for X, S-dagger then H for Y) is noiseless, so
-        # a Z outcome is flipped by the rotated frame's X bit: the frame's Z
-        # bit under an X, X xor Z under a Y, its X bit under a Z.
-        word = (frame & element.z_mask) ^ (frame >> n & element.x_mask) ^ b0
-    if span.size > 1:
-        free = span.size.bit_length() - 1
-        u = rng.integers(0, 2, size=(shots, free), dtype=np.uint8)
-        # The index has bit i from u[:, i]; a float32 product is exact
-        # here (integer sums below 2^12) and faster than an integer one.
-        word ^= span.take((u @ _POW2[:free]).astype(np.intp))
-
-    # One (k, shots) block of readout uniforms: the same numbers as k draws.
-    # A true 0 reads 1 when its uniform is below p01 and a true 1 reads 0
-    # when it is below p10, so obs = bits ^ lt01 ^ (bits & (lt01 ^ lt10)).
-    # Bit i of a shot's pattern is its observed bit on wire i.
-    masks, p01, p10, shifts, weights = readout.wires(element.support())
-    ru = rng.random((masks.shape[0], shots))
-    bits = (word & masks) != 0
-    lt01 = ru < p01
-    obs = ru < p10
-    obs ^= lt01
-    obs &= bits
-    obs ^= lt01
-    obs ^= bits
-    pattern = np.bitwise_or.reduce(obs.view(np.uint8) << shifts, axis=0)
-
-    raw, err_raw = _summarize(readout.parity[element.sign].take(pattern))
-    mit = err_mit = None
-    if weights is not None:
-        vals = weights.take(pattern)
-        if element.sign < 0:
-            np.negative(vals, out=vals)
-        mit, err_mit = _summarize(vals)
-    return ElementEstimate(element.label, raw, mit, err_raw, err_mit)
+    return mean, np.sqrt((hist * dev).sum(axis=1) / (shots - 1)) / math.sqrt(shots)
 
 
 def sample_elements(
@@ -289,24 +269,40 @@ def sample_elements(
     seed: int,
     mitigate: bool,
 ) -> List[ElementEstimate]:
-    """Monte Carlo estimate of every group element; element k draws from its
-    own stream, spawned from the seed with key (k,): its faults when some
-    event is noisy, then its outcomes and readout. The identity element
+    """Monte Carlo estimate of every group element, from one stream seeded
+    with the seed. The elements other than the identity, in group order, go
+    in blocks of ``max(1, BLOCK // max(shots, 2^n))``, so that a block's
+    shot slots and its histograms stay within ``BLOCK`` entries. A block
+    draws its faults (``_FaultTable.sample``), one group-member index per
+    shot slot, then its readout (``_Readout.apply``). The identity element
     draws nothing: its value is its sign."""
-    faults = _FaultTable(c.n, events, shots)
+    n = c.n
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    faults = _FaultTable(n, events, shots)
     outcomes = _Outcomes(ideal_tab)
-    readout = _Readout(c, noise, mitigate)
-    elements: List[ElementEstimate] = []
-    for k, element in enumerate(group):
-        if element.support() == 0:
-            one = float(element.sign)
-            elements.append(
-                ElementEstimate(element.label, one, one if mitigate else None, 0.0, 0.0 if mitigate else None)
-            )
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            elements.append(_element_mc(c.n, element, faults.sample(rng), outcomes, readout, shots, rng))
-    return elements
+    readout = _Readout(c, noise, mitigate, shots)
+    x, z, supports = np.array([(el.x_mask, el.z_mask, el.support()) for el in group], dtype=WORD).T
+    signs = np.array([float(el.sign) for el in group])
+    stats = np.zeros((4, len(group)))  # raw, its stderr, mitigated, its stderr
+    stats[0] = stats[2] = signs  # the identity's values
+    todo = np.flatnonzero(supports)
+    per = max(1, BLOCK // max(shots, 1 << n))
+    for start in range(0, todo.size, per):
+        ks = todo[start : start + per]
+        frame = faults.sample(rng, ks.size)
+        frame ^= outcomes.member.take(rng.integers(0, 1 << n, size=frame.size))
+        bx, bz, support = x[ks, None], z[ks, None], supports[ks]
+        word = _flips(frame.reshape(ks.size, shots), bx, bz, n) ^ (outcomes.of(bx, bz) & support)[:, None]
+        readout.apply(rng, word, support)
+        word |= (np.arange(ks.size, dtype=WORD) << n)[:, None]  # the element's row of the block's histogram
+        hist = np.bincount(word.ravel(), minlength=ks.size << n).reshape(ks.size, -1)
+        stats[:2, ks] = _summarize(hist, readout.parity, signs[ks], shots)
+        if mitigate:
+            stats[2:, ks] = _summarize(hist, readout.ratio, signs[ks] * readout.w0.take(support), shots)
+    return [
+        ElementEstimate(el.label, raw, mit if mitigate else None, err_raw, err_mit if mitigate else None)
+        for el, (raw, err_raw, mit, err_mit) in zip(group, stats.T.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,15 @@ Monte Carlo: one measurement setting per stabilizer element, depolarizing
 noise after gates, idle dephasing in the schedule's gaps, readout confusion,
 and optional unbiased readout mitigation. Both read the one event stream
 built here: the sampler draws sparse faults and pushes them to the end of
-the circuit through images precomputed from it, and the dense density-matrix
-oracle for small systems replays it.
+the circuit through images precomputed from it, a block of elements at a
+time, and reads each element's values off a histogram of its shots; the
+dense density-matrix oracle for small systems replays the stream.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -196,13 +198,27 @@ class NoiseModel:
 
     Gates get symmetric depolarizing noise, idle intervals get pure dephasing
     with probability (1 - exp(-t / D_q)) / 2, readout gets an independent
-    per-qubit confusion matrix [[1-p01, p10], [p01, 1-p10]].
+    per-qubit confusion matrix [[1-p01, p10], [p01, 1-p10]]. Every rate is a
+    number in [0, 1] and every coherence time is > 0 (inf allowed); anything
+    else, NaN included, raises ``ValidationError`` naming the field and key.
     """
 
     sq_error: Dict[int, float]
     cx_error: Dict[Tuple[int, int], float]
     coherence_ns: Dict[int, float]
     readout: Dict[int, Tuple[float, float]]  # (p01, p10)
+
+    def __post_init__(self):
+        for name, rates in (("sq_error", self.sq_error), ("cx_error", self.cx_error)):
+            for key, p in rates.items():
+                if not _is_rate(p):
+                    raise ValidationError(f"{name}[{key}] must be a rate in [0, 1], got {p!r}")
+        for key, pair in self.readout.items():
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_rate, pair))):
+                raise ValidationError(f"readout[{key}] must be a (p01, p10) pair of rates in [0, 1], got {pair!r}")
+        for key, t in self.coherence_ns.items():
+            if not (_is_real(t) and t > 0):
+                raise ValidationError(f"coherence_ns[{key}] must be > 0 (inf allowed), got {t!r}")
 
     @classmethod
     def from_calibration(cls, cal: DeviceCalibration) -> "NoiseModel":
@@ -225,6 +241,14 @@ class NoiseModel:
             cx_error={c.pair: 0.0 for c in cal.couplers},
             coherence_ns={q.index: math.inf for q in cal.qubits},
         )
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_rate(x) -> bool:
+    return _is_real(x) and 0.0 <= x <= 1.0  # NaN fails both comparisons
 
 
 def _dephase_prob(gap_ns: float, coherence_ns: float) -> float:
@@ -358,17 +382,20 @@ def estimate_fidelity(
     """Fidelity with the target graph state via stabilizer sampling.
 
     One measurement setting per stabilizer element; fidelity is the mean of
-    the 2^n element expectations. Each element draws from an independent RNG
-    stream spawned from the seed, so results are reproducible bit-for-bit and
-    per-element values do not shift when others are recomputed. A stream is
-    consumed in one fixed order. First, when some event has p > 0, its
-    faults: one Poisson arrival count per such event, in schedule order, at
-    mean -shots * log(1 - p) (none for p = 1); one shot per arrival; one
-    fault type per arrival and then per shot of each p = 1 event (see
-    ``gscompile.frames``). Then the outcome draw, a random bit per shot and
-    free direction of the measurement distribution; then the readout
-    uniforms, one row of shots per support qubit in qubit order. With no
-    noisy event the first step draws nothing.
+    the 2^n element expectations. One RNG stream, seeded with the seed,
+    serves the whole estimate, so results are reproducible bit for bit. The
+    elements other than the identity are sampled in group order, a block of
+    ``max(1, 2^14 // max(shots, 2^n))`` at a time (see ``gscompile.frames``),
+    and each block consumes the stream in one fixed order. First, when some
+    event has p > 0, its faults: one Poisson arrival count per (element,
+    such event), row-major, at mean -shots * log(1 - p) (none for p = 1);
+    one shot per arrival; one fault type per arrival and then per shot of
+    each p = 1 event. Then one stabilizer-group member per shot, whose flips
+    give the outcome its randomness. Then the readout: one Poisson count of
+    candidate shots per (element, qubit), row-major, at mean -shots * log(1
+    - max(p01, p10)) on the element's support and 0 off it (every shot when
+    the max is 1); one shot per candidate; one acceptance uniform per (shot,
+    qubit) with a candidate. The identity element draws nothing.
     """
     if not _is_int(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots}")

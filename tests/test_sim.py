@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gscompile.errors import CapExceededError, ValidationError
 from gscompile.graphs import (
     PauliString,
     builtin_graph,
+    group_products,
     graph_from_edges,
     linear_graph,
     ring_graph,
@@ -198,6 +200,37 @@ class TestNoiseModel:
         assert ro.readout[0] == (0.02, 0.03)
         assert all(v == 0 for v in ro.sq_error.values())
 
+    @pytest.mark.parametrize(
+        "field, key, value, where",
+        [
+            ("coherence_ns", 2, 0.0, r"coherence_ns\[2\]"),  # a bare ZeroDivisionError before
+            ("coherence_ns", 2, -5.0, r"coherence_ns\[2\]"),  # a density-oracle value of 2e44
+            ("coherence_ns", 2, math.nan, r"coherence_ns\[2\]"),
+            ("sq_error", 1, 1.5, r"sq_error\[1\]"),  # sampled without complaint
+            ("sq_error", 1, math.nan, r"sq_error\[1\]"),  # silently no noise
+            ("cx_error", (0, 1), -0.1, r"cx_error\[\(0, 1\)\]"),
+            ("cx_error", (0, 1), math.inf, r"cx_error\[\(0, 1\)\]"),
+            ("readout", 0, (1.5, 0.0), r"readout\[0\]"),  # an analytic fidelity below 0
+            ("readout", 0, (0.0, math.nan), r"readout\[0\]"),
+            ("readout", 0, 0.5, r"readout\[0\]"),
+            ("sq_error", 1, "0.1", r"sq_error\[1\]"),
+        ],
+    )
+    def test_impossible_rates_rejected(self, sym3, field, key, value, where):
+        nm = NoiseModel.from_calibration(sym3)
+        with pytest.raises(ValidationError, match=where):
+            dataclasses.replace(nm, **{field: {**getattr(nm, field), key: value}})
+
+    def test_boundary_values_accepted(self, sym3):
+        nm = NoiseModel.from_calibration(sym3)
+        nm = dataclasses.replace(
+            nm,
+            coherence_ns={q: math.inf for q in nm.coherence_ns},
+            sq_error={q: 1.0 for q in nm.sq_error},
+            readout={q: (0, 1.0) for q in nm.readout},
+        )
+        assert nm.readout[2] == (0, 1.0)
+
 
 class TestEstimateFidelity:
     def test_zero_noise_exactly_one(self, sym3):
@@ -224,6 +257,18 @@ class TestEstimateFidelity:
             abs(sampled.fidelity_mitigated - exact.fidelity_mitigated)
             < 4 * sampled.stderr_mitigated
         )
+
+    def test_readout_rate_one(self, sym3):
+        # max(p01, p10) = 1 has an infinite Poisson rate: every shot of the
+        # wire is a readout candidate, and every true 0 on it reads 1.
+        c = compiled(linear_graph(3), sym3)
+        ro = NoiseModel.readout_only(sym3)
+        noise = dataclasses.replace(ro, readout={**ro.readout, 1: (1.0, 0.0)})
+        exact = estimate_fidelity(c, noise, analytic=True)
+        sampled = estimate_fidelity(c, noise, shots=4000, seed=5)
+        assert abs(sampled.fidelity_raw - exact.fidelity_raw) <= 4 * sampled.stderr_raw + 1e-12
+        for got, want in zip(sampled.elements, exact.elements):
+            assert abs(got.raw - want.raw) <= 4 * got.stderr_raw + 1e-12, got.label
 
     def test_seed_determinism(self, sym3):
         c = compiled(linear_graph(3), sym3)
@@ -317,6 +362,20 @@ class TestDensityOracle:
         assert abs(sum(z) / len(z)) <= 3 / math.sqrt(len(z))
         assert max(abs(v) for v in z) < 5
 
+    def test_one_block_unbiased_over_seeds(self):
+        # A naive 5-vertex circuit has 31 elements besides the identity, all
+        # in one block at 256 shots; the same bound as above over 20 seeds.
+        c = reference_circuit("linear:5", "naive")
+        assert len(stabilizer_group(c.graph)) - 1 <= frames.BLOCK // max(256, 1 << c.n)
+        noise = NoiseModel.from_calibration(graph_calibration(c.graph, **NOISY))
+        exact = density_oracle(c, noise)
+        z = []
+        for seed in range(20):
+            est = estimate_fidelity(c, noise, shots=256, seed=seed, mitigate=True)
+            z.append((est.fidelity_mitigated - exact) / est.stderr_mitigated)
+        assert abs(sum(z) / len(z)) <= 3 / math.sqrt(len(z))
+        assert max(abs(v) for v in z) < 5
+
     @pytest.mark.parametrize("rates", [dict(cx_error=1.0), dict(sq_error=1.0)])
     def test_certain_faults_agree(self, rates):
         # p = 1 has an infinite Poisson rate: every shot gets one fault.
@@ -349,7 +408,7 @@ class TestDensityOracle:
 
 
 # ---------------------------------------------------------------------------
-# Frame kernel pinned against a reference copy of its first form
+# Frame kernel pinned against a gate-by-gate reference of its draws
 
 FAULT_TYPES = {"idle": 1, "h": 3, "cx": 15}
 
@@ -403,113 +462,148 @@ def _outcome_sampler(tab: Tableau):
     return b0, basis
 
 
-def reference_faults(events, shots, rng):
-    """The sparse fault draws, read in the kernel's order: Poisson arrival
-    counts per noisy event, one shot per arrival, then one type per arrival
-    and per shot of each p = 1 event. Returns {event: {shot: type}} with the
-    first arrival at a shot kept."""
+def reference_faults(events, elements, shots, rng):
+    """The sparse fault draws of a block, read in the kernel's order: Poisson
+    arrival counts per (element, noisy event), one shot per arrival, then
+    one type per arrival and per (element, p = 1 event, shot), an integer
+    below 15 modulo the event's number of types. Returns {event: {slot:
+    type}} with the first arrival at slot ``element * shots + shot`` kept."""
     noisy = [e for e, (_, _, p) in enumerate(events) if p > 0]
     if not noisy:
         return {}
     ps = [events[e][2] for e in noisy]
-    counts = rng.poisson([0.0 if p >= 1 else shots * -math.log1p(-p) for p in ps])
-    arrivals = [e for e, count in zip(noisy, counts) for _ in range(count)]
-    at = list(rng.integers(0, shots, size=len(arrivals)))
-    for e, p in zip(noisy, ps):
-        if p >= 1:
-            arrivals += [e] * shots
-            at += range(shots)
-    types = rng.integers(0, np.array([FAULT_TYPES[events[e][0]] for e in arrivals], dtype=np.int64))
+    counts = rng.poisson([[0.0 if p >= 1 else shots * -math.log1p(-p) for p in ps]] * elements)
+    arrivals = [(i, e) for i in range(elements) for e, count in zip(noisy, counts[i]) for _ in range(count)]
+    at = [i * shots + int(s) for (i, _), s in zip(arrivals, rng.integers(0, shots, size=len(arrivals)))]
+    evs = [e for _, e in arrivals]
+    for i in range(elements):
+        for e, p in zip(noisy, ps):
+            if p >= 1:
+                evs += [e] * shots
+                at += range(i * shots, (i + 1) * shots)
+    ntypes = np.array([FAULT_TYPES[events[e][0]] for e in evs], dtype=np.int64)
+    types = rng.integers(0, 15, size=len(evs)) % ntypes
     hits = {}
-    for e, shot, t in zip(arrivals, at, types):
-        hits.setdefault(e, {}).setdefault(int(shot), int(t))
+    for e, slot, t in zip(evs, at, types):
+        hits.setdefault(e, {}).setdefault(slot, int(t))
     return hits
 
 
-def reference_element_mc(c, noise, events, ideal_tab, element, shots, rng, mitigate):
-    """The per-element kernel in its first form: (shots, n) uint8 frames, each
-    event's gate then its drawn faults, the basis change applied to the frames
-    as noiseless gates, then one readout draw per support qubit. Faults are
-    replayed forward, so the kernel's backward images are checked against
-    gate-by-gate propagation."""
-    n = c.n
-    hits = reference_faults(events, shots, rng)
-    b0, basis = _outcome_sampler(_rotated_tableau(ideal_tab, element))
-    fx = np.zeros((shots, n), dtype=np.uint8)
-    fz = np.zeros((shots, n), dtype=np.uint8)
+def product_table(factors):
+    """table[w]: the product of factors[v] over the set bits v of w, in
+    ascending v, one word at a time."""
+    table = []
+    for w in range(1 << len(factors)):
+        value = 1.0
+        for v, f in enumerate(factors):
+            if w >> v & 1:
+                value *= f
+        table.append(value)
+    return np.array(table)
 
-    def gate(kind, wires):
+
+def reference_block(c, noise, events, ideal_tab, block, shots, rng, mitigate):
+    """One block of the kernel in its gate-by-gate form: (slots, n) uint8
+    frames, each event's gate then its drawn faults, a drawn stabilizer
+    group member, the basis change of each slot's element applied as
+    noiseless gates, then the sparse readout flips, one candidate at a time.
+    Faults are replayed forward, so the kernel's backward images and its
+    flip formula are checked against gate-by-gate propagation. Returns
+    (raw, its stderr, mitigated, its stderr) arrays over the block."""
+    n, m = c.n, len(block)
+    slots = m * shots
+    hits = reference_faults(events, m, shots, rng)
+    members = group_products([row[1:] for row in _canonical(ideal_tab)])
+    fx = np.zeros((slots, n), dtype=np.uint8)
+    fz = np.zeros((slots, n), dtype=np.uint8)
+
+    def gate(kind, wires, rows=slice(None)):
         if kind == "h":
             v = wires[0]
-            tmp = fx[:, v].copy()
-            fx[:, v] = fz[:, v]
-            fz[:, v] = tmp
+            tmp = fx[rows, v].copy()
+            fx[rows, v] = fz[rows, v]
+            fz[rows, v] = tmp
         elif kind == "sdg":
-            fz[:, wires[0]] ^= fx[:, wires[0]]
+            fz[rows, wires[0]] ^= fx[rows, wires[0]]
         else:
             cq, tq = wires
-            fx[:, tq] ^= fx[:, cq]
-            fz[:, cq] ^= fz[:, tq]
+            fx[rows, tq] ^= fx[rows, cq]
+            fz[rows, cq] ^= fz[rows, tq]
 
     for e, (kind, wires, _) in enumerate(events):
         if kind != "idle":
             gate(kind, wires)
-        for shot, t in hits.get(e, {}).items():
+        for slot, t in hits.get(e, {}).items():
             if kind == "idle":
-                fz[shot, wires[0]] ^= 1
+                fz[slot, wires[0]] ^= 1
             elif kind == "h":  # X, Y, Z
-                fx[shot, wires[0]] ^= t < 2
-                fz[shot, wires[0]] ^= t > 0
+                fx[slot, wires[0]] ^= t < 2
+                fz[slot, wires[0]] ^= t > 0
             else:  # code t + 1: X then Z on the first wire, then on the second
                 a, b = wires
                 for k, (frame, v) in enumerate(((fx, a), (fz, a), (fx, b), (fz, b))):
-                    frame[shot, v] ^= (t + 1) >> k & 1
-    for v in range(n):  # basis change: H on X, S-dagger then H on Y
-        if (element.x_mask >> v) & 1:
-            if (element.z_mask >> v) & 1:
-                gate("sdg", (v,))
-            gate("h", (v,))
-
-    if basis.shape[0]:
-        u = rng.integers(0, 2, size=(shots, basis.shape[0]), dtype=np.uint8)
-        bits = (u @ basis) % 2 ^ b0
-    else:
-        bits = np.broadcast_to(b0, (shots, n)).copy()
-    bits ^= fx
-    parity = np.zeros(shots, dtype=np.uint8)
-    weights = np.ones(shots, dtype=np.float64)
+                    frame[slot, v] ^= (t + 1) >> k & 1
+    picked = rng.integers(0, 1 << n, size=slots)
     for v in range(n):
-        if not (element.support() >> v) & 1:
-            continue
-        p01, p10 = noise.readout[c.placement[v]]
-        b = bits[:, v].astype(bool)
-        obs = b ^ (rng.random(shots) < np.where(b, p10, p01))
-        parity ^= obs
-        if mitigate:
-            w0, w1 = _mitigation_weights(p01, p10)
-            weights *= np.where(obs, w1, w0)
-    raw_vals = element.sign * (1.0 - 2.0 * parity.astype(np.float64))
+        fx[:, v] ^= np.array([members[g][0] >> v & 1 for g in picked], dtype=np.uint8)
+        fz[:, v] ^= np.array([members[g][1] >> v & 1 for g in picked], dtype=np.uint8)
+    bits = np.zeros((slots, n), dtype=np.uint8)
+    for i, element in enumerate(block):
+        rows = slice(i * shots, (i + 1) * shots)
+        for v in range(n):  # basis change: H on X, S-dagger then H on Y
+            if (element.x_mask >> v) & 1:
+                if (element.z_mask >> v) & 1:
+                    gate("sdg", (v,), rows)
+                gate("h", (v,), rows)
+        b0, _ = _outcome_sampler(_rotated_tableau(ideal_tab, element))
+        bits[rows] = fx[rows] ^ b0
 
-    def summarize(vals):
-        err = float(vals.std(ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
-        return float(vals.mean()), err
+    rates = [noise.readout[q] for q in c.placement]
+    pmax = [max(rate) for rate in rates]
+    on = [[element.support() >> v & 1 for v in range(n)] for element in block]
+    lam = [[0.0 if not on[i][v] or pmax[v] >= 1 else shots * -math.log1p(-pmax[v]) for v in range(n)] for i in range(m)]
+    counts = rng.poisson(lam)
+    cells = [(i, v) for i in range(m) for v in range(n) for _ in range(counts[i][v])]
+    candidates = {(i * shots + int(s), v) for (i, v), s in zip(cells, rng.integers(0, shots, size=len(cells)))}
+    candidates |= {(i * shots + s, v) for i in range(m) for v in range(n) if on[i][v] and pmax[v] >= 1 for s in range(shots)}
+    kept = sorted(candidates)
+    for (slot, v), u in zip(kept, rng.random(len(kept))):
+        if u < rates[v][bits[slot, v]] / pmax[v]:
+            bits[slot, v] ^= 1
 
-    raw, err_raw = summarize(raw_vals)
-    mit, err_mit = summarize(element.sign * weights) if mitigate else (None, None)
-    return sim.ElementEstimate(element.label, raw, mit, err_raw, err_mit)
+    hist = np.zeros((m, 1 << n), dtype=np.int64)
+    for i, element in enumerate(block):
+        words = [sum(int(bits[slot, v]) << v for v in range(n) if element.support() >> v & 1) for slot in range(i * shots, (i + 1) * shots)]
+        hist[i] = np.bincount(words, minlength=1 << n)
+    signs = np.array([float(element.sign) for element in block])
+    raw = frames._summarize(hist, product_table([-1.0] * n), signs, shots)
+    if not mitigate:
+        return (*raw, None, None)
+    weights = [_mitigation_weights(*rate) for rate in rates]
+    w0 = product_table([w0 for w0, _ in weights])
+    scale = signs * np.array([w0[element.support()] for element in block])
+    return (*raw, *frames._summarize(hist, product_table([w1 / w0 for w0, w1 in weights]), scale, shots))
 
 
 def reference_sample_elements(c, noise, events, ideal_tab, group, shots, seed, mitigate):
-    """Element by element, each from its own spawned stream."""
-    out = []
-    for k, element in enumerate(group):
-        if element.support() == 0:
-            one = float(element.sign)
-            out.append(sim.ElementEstimate(element.label, one, one if mitigate else None, 0.0, 0.0 if mitigate else None))
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            out.append(reference_element_mc(c, noise, events, ideal_tab, element, shots, rng, mitigate))
-    return out
+    """Block by block with the kernel's block rule, from one stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    per = max(1, frames.BLOCK // max(shots, 1 << c.n))
+    todo = [element for element in group if element.support()]
+    values = {}
+    for start in range(0, len(todo), per):
+        block = todo[start : start + per]
+        raw, err_raw, mit, err_mit = reference_block(c, noise, events, ideal_tab, block, shots, rng, mitigate)
+        for i, element in enumerate(block):
+            values[element.label] = sim.ElementEstimate(
+                element.label, float(raw[i]), None if mit is None else float(mit[i]),
+                float(err_raw[i]), None if err_mit is None else float(err_mit[i]),
+            )
+    one = [float(element.sign) for element in group]
+    return [
+        values.get(el.label) or sim.ElementEstimate(el.label, v, v if mitigate else None, 0.0, 0.0 if mitigate else None)
+        for el, v in zip(group, one)
+    ]
 
 
 NOISY = dict(sq_error=0.05, cx_error=0.2, coherence_us=0.5, p01=0.05, p10=0.08)
@@ -528,7 +622,10 @@ def reference_circuit(name, form):
                 {"kind": "h", "wires": [0], "start_ns": 300, "end_ns": 335},
             ],
         })
-    g = {"linear:3": linear_graph(3), "linear:4": linear_graph(4), "star:4": star_graph(4), "linear:9": linear_graph(9)}[name]
+    g = {
+        "linear:3": linear_graph(3), "linear:4": linear_graph(4), "linear:5": linear_graph(5),
+        "star:4": star_graph(4), "linear:9": linear_graph(9),
+    }[name]
     cal = graph_calibration(g)
     return compiled(g, cal) if form == "compiled" else naive_circuit(g, identity_embedding(g), cal)
 
@@ -544,7 +641,9 @@ def test_estimate_golden():
     for c in (compiled(g, cal), naive_circuit(g, identity_embedding(g), cal)):
         for mitigate in (False, True):
             h.update(repr(estimate_fidelity(c, noise, shots=500, seed=17, mitigate=mitigate)).encode())
-    assert h.hexdigest() == "47844491b0776f23df5bfebd0809a14d672e4b6fcd9a49a0a55d8a0a5490ca59"
+    # The digest of the block kernel's draws (one stream per estimate, a
+    # random stabilizer frame per shot, sparse readout candidates).
+    assert h.hexdigest() == "447cc3c6efcf4288f4d9ff4ff80fb968d9093ffc31bde50614a27b7580a81909"
 
 
 def assert_matches_reference(monkeypatch, c, noise, shots, mitigate):
@@ -578,13 +677,15 @@ class TestFrameKernelReference:
 
     @pytest.mark.parametrize("shots", [1, 64])
     def test_element_heavy_bit_identical_to_reference(self, monkeypatch, shots):
-        # 511 elements, some on all 9 qubits (a two-byte readout pattern) and
-        # some with 8 free outcome directions (a 256-row span table).
+        # 511 elements, some on all 9 qubits and some with 8 free outcome
+        # directions, 32 to a block: 15 full blocks, then a partial one.
         c = reference_circuit("linear:9", "naive")
         tab = simulate_ideal(c)
         group = stabilizer_group(c.graph)[1:]
         assert any("I" not in el.label for el in group)
         assert max(_outcome_sampler(_rotated_tableau(tab, el))[1].shape[0] for el in group) == 8
+        per = frames.BLOCK // max(shots, 1 << c.n)
+        assert per == 32 and len(group) % per == 31
         noise = NoiseModel.from_calibration(graph_calibration(c.graph, **NOISY))
         assert_matches_reference(monkeypatch, c, noise, shots, mitigate=True)
 
@@ -601,10 +702,23 @@ class TestFrameKernelReference:
 
     def test_certain_event_hits_every_shot(self):
         faults = frames._FaultTable(1, [("h", (0,), 1.0)], 1000)
-        frame = faults.sample(np.random.default_rng(0))
+        frame = faults.sample(np.random.default_rng(0), 1)
         assert np.all(frame != 0)
         # X, Y, Z are the frames 1, 3, 2 (x | z << 1), each on about a third of the shots
         assert all(abs(np.count_nonzero(frame == m) - 333) < 60 for m in (1, 2, 3))
+
+    def test_fault_key_guard(self):
+        # The first-arrival key (slot * events + event) << b | index must fit
+        # in int64: the guard is exact at the boundary and never wraps.
+        assert frames._key_bits(1, 1, 0) == 0
+        assert frames._key_bits(2**14, 100, 1) == 0
+        assert frames._key_bits(2**14, 100, 2**20) == 20
+        assert frames._key_bits(2**14, 100, 2**20 + 1) == 21
+        b = frames._key_bits(2**20, 2**10, 2**33)
+        assert b == 33 and (2**30 - 1) << b | (2**b - 1) == 2**63 - 1
+        for slots, events, arrivals in [(2**20, 2**10, 2**33 + 1), (2**40, 2**20, 16), (3 * 2**61, 1, 2)]:
+            with pytest.raises(CapExceededError, match="overflow the fault key"):
+                frames._key_bits(slots, events, arrivals)
 
 
 # ---------------------------------------------------------------------------
@@ -616,19 +730,25 @@ def outcome_word(bits) -> int:
 
 
 def assert_outcomes_match_tableau(c):
-    """For every group element, ``frames._Outcomes`` gives the b0 and the
-    span table (the XOR of the free rows selected by each index) that
-    elimination on the rotated tableau gives."""
+    """For every group element, ``frames._Outcomes`` gives on the support the
+    b0 that elimination on the rotated tableau gives, and the flips of the
+    2^n group members, as ``frames._flips`` reads them, are the
+    elimination's span on the support with the same multiplicities: each
+    point as often among the members as among the span's 2^free words."""
+    n = c.n
     tab = simulate_ideal(c)
     outcomes = frames._Outcomes(tab)
     for el in stabilizer_group(c.graph):
         b0, basis = _outcome_sampler(_rotated_tableau(tab, el))
-        span = np.zeros(1, dtype=frames.WORD)
+        span = [0]
         for row in basis:
-            span = np.concatenate((span, span ^ outcome_word(row)))
-        got_b0, got_span = outcomes.of(el)
-        assert got_b0 == outcome_word(b0), el.label
-        assert got_span.dtype == span.dtype and np.array_equal(got_span, span), el.label
+            span += [w ^ outcome_word(row) for w in span]
+        got_b0 = outcomes.of(np.array([[el.x_mask]], dtype=frames.WORD), np.array([[el.z_mask]], dtype=frames.WORD))
+        assert int(got_b0[0]) & el.support() == outcome_word(b0) & el.support(), el.label
+        want = Counter(w & el.support() for w in span)
+        got = Counter(frames._flips(outcomes.member, el.x_mask, el.z_mask, n).tolist())
+        assert set(got) == set(want), el.label
+        assert all(got[w] * len(span) == want[w] << n for w in want), el.label
 
 
 @st.composite
