@@ -9,21 +9,22 @@ Quantum 5, 497, 2021). A frame is one integer per shot, its X bits then its
 Z bits (``x | z << n``). One backward pass over the events gives the frame
 that each fault of each noisy event has at the end of the circuit, its
 image, so a shot's final frame is the XOR of the images of the faults that
-hit it and no gate is replayed per shot. Faults are drawn as Poisson
-arrivals: an event with error probability p gets Poisson(shots * lambda)
-arrivals, lambda = -log(1 - p), each at a uniform shot with a uniform fault
-type. A shot is hit when at least one arrival lands on it, which happens
-with probability exactly p, independently across shots and events; a shot
-hit more than once by one event keeps its first arrival's type. An event
-with p = 1 hits every shot.
+hit it and no gate is replayed per shot.
+
+Faults and readout flips share one hit rule (``_hits``). A cell with hit
+probability p, an (element, noisy event) or an (element, wire), gets
+Poisson(shots * lambda) arrivals, lambda = -log(1 - p), each at a uniform
+shot, and a shot is hit when at least one arrival lands on it. That happens
+with probability exactly p, independently across shots and cells; a cell
+with p = 1 hits every shot. A fault hit draws a uniform fault type. A wire's
+readout hits, at p = max(p01, p10), are candidates, and a candidate flips
+with chance p01 / max or p10 / max by its true bit.
 
 Elements are sampled a block at a time, one shot slot per (element, shot),
 from one stream. As in Stim's frame simulator, a shot's outcome is one
 reference outcome XOR the flips of its frame times a uniform member of the
-state's stabilizer group. Readout is sparse too: a wire gets Poisson-drawn
-candidate shots at rate max(p01, p10), and a candidate flips with chance
-p01 / max or p10 / max by its true bit. An element's shots reduce to a
-histogram of its support words, which gives its raw and mitigated values.
+state's stabilizer group. An element's shots reduce to a histogram of its
+support words, which gives its raw and mitigated values.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .circuit import TimedCircuit
-from .errors import CapExceededError
 from .graphs import PauliString, group_products
 from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _readout_rates
 
@@ -127,59 +127,56 @@ def _fault_images(n: int, events) -> List[Tuple[float, Tuple[int, ...]]]:
     return noisy
 
 
-def _key_bits(slots: int, events: int, arrivals: int) -> int:
-    """Width b of the arrival index in the first-arrival key ``(slot * events
-    + event) << b | index``. Raises ``CapExceededError`` when some key would
-    not fit in int64, so a key never wraps."""
-    b = max(arrivals - 1, 0).bit_length()
-    if slots * events << b > 1 << 63:
-        raise CapExceededError(f"{slots} shot slots x {events} noisy events x {arrivals} arrivals overflow the fault key")
-    return b
+def _rates(ps: Sequence[float], shots: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Poisson rate over all shots of each hit probability p in ps,
+    -shots * log(1 - p) (0 where p = 1), and the mask of the p = 1 ones."""
+    return np.array([0.0 if p >= 1 else shots * -math.log1p(-p) for p in ps]), np.array([p >= 1 for p in ps])
+
+
+def _hits(rng, rate: np.ndarray, certain: np.ndarray, shots: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The hits of a block's (elements, columns) cells by the module's hit
+    rule, as (slot, column) arrays with slot ``element * shots + shot``,
+    each hit once, in ascending order. Draws one Poisson arrival count per
+    cell, row-major, at its ``rate``, then one shot per arrival; a
+    ``certain`` cell hits every shot. Hits are deduplicated by one sort of
+    the key ``slot << b | column``, which fits in int64 below 2^39 columns:
+    ``sim.SHOTS_CAP`` keeps a block's slots within max(``BLOCK``, 2^24)."""
+    elements, columns = rate.shape
+    b = (columns - 1).bit_length()
+    first = (np.arange(elements)[:, None] * shots << b | np.arange(columns)).ravel()  # each cell's key at shot 0
+    key = np.repeat(first, rng.poisson(rate).ravel())
+    key += rng.integers(0, shots, size=key.size) << b
+    if certain.any():
+        key = np.concatenate((key, (first[certain.ravel()][:, None] + (np.arange(shots) << b)).ravel()))
+    key.sort()
+    key = key[np.diff(key, prepend=-1) != 0]
+    return key >> b, key & ((1 << b) - 1)
 
 
 class _FaultTable:
-    """The noisy events of one estimate as arrays: the Poisson rate of each
-    over all shots (0 where p = 1), the events with p = 1, the number of
-    fault types of each and their images, zero-padded to 15 columns."""
+    """The noisy events of one estimate as arrays: the rate and p = 1 mask
+    of each (``_rates``), the number of fault types of each and their
+    images, zero-padded to 15 columns."""
 
     def __init__(self, n: int, events, shots: int):
         noisy = _fault_images(n, events)
         self.shots = shots
-        self.rate = np.array([0.0 if p >= 1 else shots * -math.log1p(-p) for p, _ in noisy])
-        self.certain = np.array([e for e, (p, _) in enumerate(noisy) if p >= 1], dtype=np.int64)
+        self.rate, self.certain = _rates([p for p, _ in noisy], shots)
         self.ntypes = np.array([len(images) for _, images in noisy], dtype=np.int64)
         self.images = np.zeros((len(noisy), 15), dtype=WORD)
         for e, (_, images) in enumerate(noisy):
             self.images[e, : len(images)] = images
 
     def sample(self, rng, elements: int) -> np.ndarray:
-        """Fault frame of every shot slot ``i * shots + s`` of a block (shot s
-        of its element i). Draws, when some event is noisy: the arrival
-        counts of every (element, noisy event), row-major (``poisson``); the
-        shot of every arrival; then a type for every arrival and (element,
-        p = 1 event, shot), row-major: an integer below 15 modulo the
-        event's 1, 3 or 15 types, which divide 15, so types are uniform."""
-        events, shots = len(self.rate), self.shots
-        frame = np.zeros(elements * shots, dtype=WORD)
-        if not events:
-            return frame
-        cells = np.arange(elements * events)
-        element, event = np.divmod(cells, events)
-        cell = np.repeat(cells, rng.poisson(self.rate, size=(elements, events)).ravel())
-        ev = event.take(cell)
-        slot = (element * shots).take(cell) + rng.integers(0, shots, size=cell.size)
-        if self.certain.size:
-            every = (elements, self.certain.size, shots)
-            ev = np.concatenate((ev, np.broadcast_to(self.certain[:, None], every).ravel()))
-            base = np.arange(0, elements * shots, shots)[:, None, None]
-            slot = np.concatenate((slot, np.broadcast_to(base + np.arange(shots), every).ravel()))
-        kind = rng.integers(0, 15, size=ev.size) % self.ntypes.take(ev)
-        # Keys are unique, so a plain sort puts each (slot, event)'s arrivals
-        # together in draw order.
-        b = _key_bits(frame.size, events, ev.size)
-        key = np.sort((slot * events + ev) << b | np.arange(ev.size))
-        hit = key[np.diff(key >> b, prepend=-1) != 0] & ((1 << b) - 1)
-        np.bitwise_xor.at(frame, slot.take(hit), self.images.take(ev.take(hit) * 15 + kind.take(hit)))
+        """Fault frame of every shot slot of a block: the hits of its
+        (element, noisy event) cells, then one type per hit in their order,
+        an integer below 15 modulo the event's 1, 3 or 15 types, which
+        divide 15, so types are uniform."""
+        cells = (elements, self.rate.size)
+        slot, event = _hits(rng, np.broadcast_to(self.rate, cells), np.broadcast_to(self.certain, cells), self.shots)
+        kind = rng.integers(0, 15, size=slot.size) % self.ntypes.take(event)
+        frame = np.zeros(elements * self.shots, dtype=WORD)
+        np.bitwise_xor.at(frame, slot, self.images.take(event * 15 + kind))
         return frame
 
 
@@ -194,19 +191,17 @@ def _product_table(factors: Sequence[float]) -> np.ndarray:
 
 class _Readout:
     """Readout confusion by vertex as the sparse draws use it: each wire's
-    rate of candidate shots, -shots * log(1 - pmax) with pmax = max(p01,
-    p10) (0 where pmax = 1: every shot is a candidate), and ``flip[b * n +
-    v]``, p01 / pmax or p10 / pmax as the true bit b is 0 or 1. Tables over
-    support words w: ``parity[w]``, -1 to the number of set bits, and, when
-    mitigating, ``ratio[w]`` and ``w0[w]``, the products of w1 / w0 and of
-    w0 (``_mitigation_weights``) over the set bits: a shot that reads w on
-    support S is worth w0[S] * ratio[w]."""
+    rate and p = 1 mask (``_rates``) at pmax = max(p01, p10), and ``flip[b *
+    n + v]``, p01 / pmax or p10 / pmax as the true bit b is 0 or 1. Tables
+    over support words w: ``parity[w]``, -1 to the number of set bits, and,
+    when mitigating, ``ratio[w]`` and ``w0[w]``, the products of w1 / w0 and
+    of w0 (``_mitigation_weights``) over the set bits: a shot that reads w
+    on support S is worth w0[S] * ratio[w]."""
 
     def __init__(self, c: TimedCircuit, noise: NoiseModel, mitigate: bool, shots: int):
         rates, weights = _readout_rates(c, noise, mitigate)
         pmax = [max(rate) for rate in rates]
-        self.rate = np.array([0.0 if p >= 1 else shots * -math.log1p(-p) for p in pmax])
-        self.certain = np.array([p >= 1 for p in pmax], dtype=np.int64)
+        self.rate, self.certain = _rates(pmax, shots)
         self.flip = np.array([rate[b] / p if p > 0 else 0.0 for b in (0, 1) for rate, p in zip(rates, pmax)])
         self.parity = _product_table([-1.0] * c.n)
         self.ratio = self.w0 = None
@@ -216,29 +211,16 @@ class _Readout:
 
     def apply(self, rng, word: np.ndarray, supports: np.ndarray) -> None:
         """Flip the read bits of a block's (elements, shots) outcome words in
-        place. Draws, in order: the candidate counts of every (element,
-        wire), row-major, at the wire's rate on the element's support and 0
-        off it (``poisson``); the shot of every candidate; then one uniform
-        per (shot slot, wire) with a candidate, in ascending (slot, wire)
-        order, below whose flip chance the bit flips."""
-        elements, shots = word.shape
+        place: the candidates are the hits of its (element, wire) cells, at
+        rate 0 off the element's support, and each draws one uniform in
+        their order, below whose flip chance the bit flips."""
+        shots = word.shape[1]
         n = self.rate.size
-        cells = np.arange(elements * n)
-        element, wire = np.divmod(cells, n)
-        on = supports.take(element) >> wire & 1
-        cell = np.repeat(cells, rng.poisson(self.rate.take(wire) * on))
-        b = (n - 1).bit_length()
-        key = ((element * shots).take(cell) + rng.integers(0, shots, size=cell.size)) << b | wire.take(cell)
-        sure = np.flatnonzero(on & self.certain.take(wire))
-        if sure.size:
-            every = ((element * shots).take(sure)[:, None] + np.arange(shots)) << b | wire.take(sure)[:, None]
-            key = np.concatenate((key, every.ravel()))
-        key.sort()
-        key = key[np.diff(key, prepend=-1) != 0]
-        slot, wire = key >> b, key & ((1 << b) - 1)
+        on = (supports[:, None] >> np.arange(n) & 1) == 1
+        slot, wire = _hits(rng, self.rate * on, self.certain & on, shots)
         word = word.reshape(-1)
         bit = word.take(slot) >> wire & 1
-        flip = rng.random(key.size) < self.flip.take(bit * n + wire)
+        flip = rng.random(slot.size) < self.flip.take(bit * n + wire)
         # The flips of one slot are distinct bits, so their sum is their XOR.
         delta = np.zeros(word.size, dtype=WORD)
         np.add.at(delta, slot[flip], (1 << wire[flip]).astype(WORD))
@@ -249,14 +231,12 @@ def _summarize(hist: np.ndarray, table: np.ndarray, scale: np.ndarray, shots: in
     """Mean and standard error of the mean of each element of a block, from
     its histogram: ``hist[i, w]`` shots of element i read support word w,
     each worth ``scale[i] * table[w]``. Two passes over the histogram: the
-    mean, then the squared deviations from it (none for one shot)."""
+    mean, then the squared deviations from it, all exactly 0 at one shot."""
     vals = scale[:, None] * table
     mean = (hist * vals).sum(axis=1) / shots
-    if shots == 1:
-        return mean, np.zeros_like(mean)
     dev = vals - mean[:, None]
     dev *= dev
-    return mean, np.sqrt((hist * dev).sum(axis=1) / (shots - 1)) / math.sqrt(shots)
+    return mean, np.sqrt((hist * dev).sum(axis=1) / max(shots - 1, 1)) / math.sqrt(shots)
 
 
 def sample_elements(
@@ -273,9 +253,20 @@ def sample_elements(
     with the seed. The elements other than the identity, in group order, go
     in blocks of ``max(1, BLOCK // max(shots, 2^n))``, so that a block's
     shot slots and its histograms stay within ``BLOCK`` entries. A block
-    draws its faults (``_FaultTable.sample``), one group-member index per
-    shot slot, then its readout (``_Readout.apply``). The identity element
-    draws nothing: its value is its sign."""
+    draws, in this order:
+
+    - its faults (``_FaultTable.sample``): a Poisson arrival count per
+      (element, noisy event), row-major, and a shot per arrival
+      (``_hits``), then a fault type per hit, in ascending (slot, event)
+      order;
+    - one stabilizer-group member index per shot slot;
+    - its readout (``_Readout.apply``): a Poisson candidate count per
+      (element, wire), row-major, at rate 0 off the element's support, and
+      a shot per candidate (``_hits``), then an acceptance uniform per hit, in
+      ascending (slot, wire) order.
+
+    A p = 1 cell hits every shot without a draw, and a rate of 0 draws no
+    arrival. The identity element draws nothing: its value is its sign."""
     n = c.n
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     faults = _FaultTable(n, events, shots)

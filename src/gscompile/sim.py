@@ -42,6 +42,7 @@ from .errors import CapExceededError, SolutionError, ValidationError
 from .graphs import PauliString, _is_int, mul_phase, stabilizer_generators, stabilizer_group
 
 DENSITY_CAP = 5
+SHOTS_CAP = 1 << 24  # a sampled estimate's shots
 Canon = Tuple[Tuple[int, int, int, int], ...]  # canonical rows: (pivot column, X mask, Z mask, sign bit)
 
 
@@ -383,24 +384,19 @@ def estimate_fidelity(
 
     One measurement setting per stabilizer element; fidelity is the mean of
     the 2^n element expectations. One RNG stream, seeded with the seed,
-    serves the whole estimate, so results are reproducible bit for bit. The
-    elements other than the identity are sampled in group order, a block of
-    ``max(1, 2^14 // max(shots, 2^n))`` at a time (see ``gscompile.frames``),
-    and each block consumes the stream in one fixed order. First, when some
-    event has p > 0, its faults: one Poisson arrival count per (element,
-    such event), row-major, at mean -shots * log(1 - p) (none for p = 1);
-    one shot per arrival; one fault type per arrival and then per shot of
-    each p = 1 event. Then one stabilizer-group member per shot, whose flips
-    give the outcome its randomness. Then the readout: one Poisson count of
-    candidate shots per (element, qubit), row-major, at mean -shots * log(1
-    - max(p01, p10)) on the element's support and 0 off it (every shot when
-    the max is 1); one shot per candidate; one acceptance uniform per (shot,
-    qubit) with a candidate. The identity element draws nothing.
+    serves the whole estimate, so results are reproducible bit for bit;
+    ``frames.sample_elements`` states the order in which it is drawn. A
+    sampled estimate takes at most ``SHOTS_CAP`` shots.
     """
     if not _is_int(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots}")
     if not _is_int(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    if not analytic and shots > SHOTS_CAP:
+        raise CapExceededError(
+            f"sampled estimates support shots <= {SHOTS_CAP}, got {shots}; "
+            "use fewer shots, or average the estimates of several seeds"
+        )
     group = stabilizer_group(c.graph)
     ideal_tab = simulate_ideal(c)
     events = _event_stream(c, noise)

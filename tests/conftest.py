@@ -1,6 +1,8 @@
+import copy
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from gscompile.device import DeviceCalibration, calibration_from_json
 from gscompile.graphs import GraphSpec
@@ -97,3 +99,45 @@ def straddling_calibration(g: GraphSpec, rng: random.Random) -> DeviceCalibratio
 def sym3():
     """Symmetric 3-qubit line: 35 ns Hadamards, 300 ns CNOTs both ways."""
     return line_calibration(3)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(2**63) - 1, 10**40])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """An arbitrary JSON value, or ``doc`` (the object of a valid input
+    file) after up to three edits at any depth: a value replaced by an
+    arbitrary JSON value (wrong types, NaN/inf, huge ints, nesting), a key
+    or item dropped, or an unknown key or extra item added."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            deeper = [k for k in keys if isinstance(node[k], (dict, list)) and node[k]]
+            if not deeper or draw(st.booleans()):
+                break
+            node = node[draw(st.sampled_from(deeper))]
+        edit = draw(st.sampled_from(["replace", "drop", "add"]))
+        if edit == "add" or not keys:
+            if isinstance(node, dict):
+                node[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+            else:
+                node.append(draw(JSON_VALUES))
+        elif edit == "drop":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = draw(JSON_VALUES)
+    return doc

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from gscompile.circuit import (
     circuit_from_json,
@@ -16,7 +17,7 @@ from gscompile.graphs import linear_graph, star_graph
 from gscompile.model import Objective, ObjectiveKind, build_model
 from gscompile.solver import solve_exact
 
-from conftest import graph_calibration, identity_embedding, line_calibration
+from conftest import graph_calibration, identity_embedding, line_calibration, mutated_json
 
 
 def compiled(g, cal, kind=ObjectiveKind.SMT_RUNTIME):
@@ -92,6 +93,15 @@ class TestNaiveCircuit:
 
 
 class TestExport:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_json(circuit_to_json(naive_circuit(linear_graph(3), identity_embedding(linear_graph(3)), line_calibration(3)))))
+    def test_circuit_from_json_fails_closed(self, data):
+        # Any JSON value either loads or is refused with ValidationError.
+        try:
+            circuit_from_json(data)
+        except ValidationError:
+            pass
+
     def test_json_round_trip(self, sym3):
         _, _, c = compiled(linear_graph(3), sym3)
         again = circuit_from_json(json.loads(export_circuit(c, "json")))

@@ -187,6 +187,14 @@ class TestOtherCommands:
         assert code == 3
         assert "n=13" in err and "emit-smt" not in err
 
+    def test_simulate_above_shots_cap_exit_3(self, tmp_path, capsys, sym3_path):
+        circ = tmp_path / "c.json"
+        run_main(["compile", "--graph", "linear:3", "--cal", sym3_path, "--out", str(circ)], capsys)
+        code, stdout, err = run_main(["simulate", "--circuit", str(circ), "--shots", "16777217"], capsys)
+        assert code == 3 and stdout == ""
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
+        assert "shots <= 16777216" in err and "Traceback" not in err
+
     def test_emit_smt_to_file(self, tmp_path, capsys, sym3_path):
         out = tmp_path / "m.smt2"
         code, _, _ = run_main(

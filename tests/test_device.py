@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
 
 from gscompile.device import (
     calibration_from_json,
@@ -9,7 +12,7 @@ from gscompile.device import (
 )
 from gscompile.errors import ValidationError
 
-from conftest import line_calibration
+from conftest import line_calibration, mutated_json
 
 
 def test_round_trip(tmp_path):
@@ -17,6 +20,24 @@ def test_round_trip(tmp_path):
     path = tmp_path / "cal.json"
     save_calibration(cal, path)
     assert load_calibration(path) == cal
+
+
+def calibration_json(cal):
+    return {
+        "snapshot_label": cal.snapshot_label,
+        "qubits": [dataclasses.asdict(q) for q in cal.qubits],
+        "couplers": [dataclasses.asdict(c) for c in cal.couplers],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_json(calibration_json(line_calibration(3))))
+def test_calibration_fails_closed(data):
+    # Any JSON value either loads or is refused with ValidationError.
+    try:
+        calibration_from_json(data)
+    except ValidationError:
+        pass
 
 
 def test_unknown_keys_rejected():

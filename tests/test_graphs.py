@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gscompile.errors import CapExceededError, ValidationError
 from gscompile.graphs import (
@@ -19,6 +20,8 @@ from gscompile.graphs import (
     stabilizer_group,
 )
 from gscompile.subiso import adjacency, embeddings_iter
+
+from conftest import mutated_json
 
 # Independent dense-matrix oracle for Pauli algebra.
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -113,6 +116,17 @@ class TestGraphSpec:
         p.write_text(json.dumps({"n": 3, "edges": [], "extra": 1}))
         with pytest.raises(ValidationError):
             load_graph(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_json({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+    def test_load_graph_fails_closed(self, tmp_path_factory, data):
+        # Any JSON value either loads or is refused with ValidationError.
+        p = tmp_path_factory.getbasetemp() / "fuzz_graph.json"
+        p.write_text(json.dumps(data))
+        try:
+            load_graph(p)
+        except ValidationError:
+            pass
 
 
 class TestStabilizers:

@@ -284,6 +284,16 @@ class TestEstimateFidelity:
         with pytest.raises(ValidationError):
             estimate_fidelity(c, NoiseModel.noiseless(line_calibration(2)), shots=0)
 
+    def test_shots_cap(self, monkeypatch):
+        # Refused before any sampling; the analytic estimate draws no shots.
+        c = compiled(linear_graph(3), line_calibration(3))
+        noise = NoiseModel.from_calibration(line_calibration(3))
+        monkeypatch.setattr(frames, "sample_elements", lambda *args: pytest.fail("sampled above the cap"))
+        with pytest.raises(CapExceededError, match=f"shots <= {sim.SHOTS_CAP}, got {sim.SHOTS_CAP + 1}; use fewer shots"):
+            estimate_fidelity(c, noise, shots=sim.SHOTS_CAP + 1)
+        assert sim.SHOTS_CAP == 1 << 24
+        assert estimate_fidelity(c, noise, shots=sim.SHOTS_CAP + 1, analytic=True).shots == sim.SHOTS_CAP + 1
+
     @pytest.mark.parametrize("shots", [2.5, True, "8"])
     def test_shots_must_be_an_integer(self, shots):
         c = compiled(linear_graph(2), line_calibration(2))
@@ -464,28 +474,28 @@ def _outcome_sampler(tab: Tableau):
 
 def reference_faults(events, elements, shots, rng):
     """The sparse fault draws of a block, read in the kernel's order: Poisson
-    arrival counts per (element, noisy event), one shot per arrival, then
-    one type per arrival and per (element, p = 1 event, shot), an integer
-    below 15 modulo the event's number of types. Returns {event: {slot:
-    type}} with the first arrival at slot ``element * shots + shot`` kept."""
+    arrival counts per (element, noisy event), one shot per arrival, every
+    shot of each p = 1 event, then one type per distinct (slot, event), in
+    ascending order, an integer below 15 modulo the event's number of
+    types. Returns {event: {slot: type}} with slot ``element * shots +
+    shot``."""
     noisy = [e for e, (_, _, p) in enumerate(events) if p > 0]
     if not noisy:
         return {}
     ps = [events[e][2] for e in noisy]
     counts = rng.poisson([[0.0 if p >= 1 else shots * -math.log1p(-p) for p in ps]] * elements)
     arrivals = [(i, e) for i in range(elements) for e, count in zip(noisy, counts[i]) for _ in range(count)]
-    at = [i * shots + int(s) for (i, _), s in zip(arrivals, rng.integers(0, shots, size=len(arrivals)))]
-    evs = [e for _, e in arrivals]
+    hit = {(i * shots + int(s), e) for (i, e), s in zip(arrivals, rng.integers(0, shots, size=len(arrivals)))}
     for i in range(elements):
         for e, p in zip(noisy, ps):
             if p >= 1:
-                evs += [e] * shots
-                at += range(i * shots, (i + 1) * shots)
-    ntypes = np.array([FAULT_TYPES[events[e][0]] for e in evs], dtype=np.int64)
-    types = rng.integers(0, 15, size=len(evs)) % ntypes
+                hit |= {(slot, e) for slot in range(i * shots, (i + 1) * shots)}
+    hit = sorted(hit)
+    ntypes = np.array([FAULT_TYPES[events[e][0]] for _, e in hit], dtype=np.int64)
+    types = rng.integers(0, 15, size=len(hit)) % ntypes
     hits = {}
-    for e, slot, t in zip(evs, at, types):
-        hits.setdefault(e, {}).setdefault(slot, int(t))
+    for (slot, e), t in zip(hit, types):
+        hits.setdefault(e, {})[slot] = int(t)
     return hits
 
 
@@ -642,8 +652,10 @@ def test_estimate_golden():
         for mitigate in (False, True):
             h.update(repr(estimate_fidelity(c, noise, shots=500, seed=17, mitigate=mitigate)).encode())
     # The digest of the block kernel's draws (one stream per estimate, a
-    # random stabilizer frame per shot, sparse readout candidates).
-    assert h.hexdigest() == "447cc3c6efcf4288f4d9ff4ff80fb968d9093ffc31bde50614a27b7580a81909"
+    # random stabilizer frame per shot, one fault type per distinct hit,
+    # sparse readout candidates). Mitigated: 0.2743 and 0.1158 against
+    # density-oracle values of 0.2978 and 0.1138 (stderr 0.017 each).
+    assert h.hexdigest() == "593e17c280ed3d6e3848a062a5762857e94d4f5eefd989ca4a3651d93fea086c"
 
 
 def assert_matches_reference(monkeypatch, c, noise, shots, mitigate):
@@ -707,18 +719,22 @@ class TestFrameKernelReference:
         # X, Y, Z are the frames 1, 3, 2 (x | z << 1), each on about a third of the shots
         assert all(abs(np.count_nonzero(frame == m) - 333) < 60 for m in (1, 2, 3))
 
-    def test_fault_key_guard(self):
-        # The first-arrival key (slot * events + event) << b | index must fit
-        # in int64: the guard is exact at the boundary and never wraps.
-        assert frames._key_bits(1, 1, 0) == 0
-        assert frames._key_bits(2**14, 100, 1) == 0
-        assert frames._key_bits(2**14, 100, 2**20) == 20
-        assert frames._key_bits(2**14, 100, 2**20 + 1) == 21
-        b = frames._key_bits(2**20, 2**10, 2**33)
-        assert b == 33 and (2**30 - 1) << b | (2**b - 1) == 2**63 - 1
-        for slots, events, arrivals in [(2**20, 2**10, 2**33 + 1), (2**40, 2**20, 16), (3 * 2**61, 1, 2)]:
-            with pytest.raises(CapExceededError, match="overflow the fault key"):
-                frames._key_bits(slots, events, arrivals)
+    def test_hits_rule(self):
+        # Two elements x (p = 0.3, p = 1, p = 0) at 20,000 shots: each
+        # p = 0.3 cell hits a fraction of its shots within 4 sigma of p,
+        # each p = 1 cell hits every shot once, a p = 0 cell never, and the
+        # hits come strictly ascending in (slot, column), so none twice.
+        shots, p = 20_000, 0.3
+        rate, certain = frames._rates([p, 1.0, 0.0], shots)
+        cells = (2, 3)
+        slot, column = frames._hits(np.random.default_rng(0), np.broadcast_to(rate, cells), np.broadcast_to(certain, cells), shots)
+        assert np.all(np.diff(slot * 3 + column) > 0)
+        element, shot = np.divmod(slot, shots)
+        for i in range(2):
+            fraction = np.count_nonzero((element == i) & (column == 0)) / shots
+            assert abs(fraction - p) <= 4 * math.sqrt(p * (1 - p) / shots)
+            assert np.array_equal(shot[(element == i) & (column == 1)], np.arange(shots))
+            assert not np.any((element == i) & (column == 2))
 
 
 # ---------------------------------------------------------------------------
