@@ -18,14 +18,15 @@ expectation is a membership test alone: the n rows are
 independent and commute, so they span a maximal commuting set, and a Pauli
 commutes with every row exactly when its X/Z bits lie in their span. Off the
 span it anticommutes with some row (expectation 0); on it, the one group
-element with its bits gives the sign. Noisy estimation is a Pauli-frame
-Monte Carlo: one measurement setting per stabilizer element, depolarizing
-noise after gates, idle dephasing in the schedule's gaps, readout confusion,
-and optional unbiased readout mitigation. Both read the one event stream
-built here: the sampler draws sparse faults and pushes them to the end of
-the circuit through images precomputed from it, a block of elements at a
-time, and reads each element's values off a histogram of its shots; the
-dense density-matrix oracle for small systems replays the stream.
+element with its bits gives the sign. Noisy estimation is a Monte Carlo
+stabilizer experiment: one measurement setting per stabilizer element,
+depolarizing noise after gates, idle dephasing in the schedule's gaps,
+readout confusion, and optional unbiased readout mitigation. The sampler
+and the dense density-matrix oracle for small systems read the one event
+stream built here. The sampler pushes each fault to the end of the circuit
+through images precomputed from it, turns them into the exact distribution
+of each element's read support word, and draws each element's shots as one
+histogram from it; the oracle replays the stream.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ from .errors import CapExceededError, SolutionError, ValidationError
 from .graphs import PauliString, _is_int, mul_phase, stabilizer_generators, stabilizer_group
 
 DENSITY_CAP = 5
-SHOTS_CAP = 1 << 24  # a sampled estimate's shots
+# A sampled estimate's shots. Its cost does not grow with them: each element
+# is one multinomial draw of its shots. At the cap the shot noise, about
+# 1e-4, still dwarfs the rounding of the distributions (under 1e-12).
+SHOTS_CAP = 1 << 24
 Canon = Tuple[Tuple[int, int, int, int], ...]  # canonical rows: (pivot column, X mask, Z mask, sign bit)
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from gscompile.errors import CapExceededError, ValidationError
 from gscompile.graphs import (
     PauliString,
     builtin_graph,
-    group_products,
     graph_from_edges,
     linear_graph,
     ring_graph,
@@ -259,8 +257,8 @@ class TestEstimateFidelity:
         )
 
     def test_readout_rate_one(self, sym3):
-        # max(p01, p10) = 1 has an infinite Poisson rate: every shot of the
-        # wire is a readout candidate, and every true 0 on it reads 1.
+        # p01 = 1 on one wire: every true 0 on it reads 1, and its readout
+        # coefficient 1 - p01 - p10 is 0.
         c = compiled(linear_graph(3), sym3)
         ro = NoiseModel.readout_only(sym3)
         noise = dataclasses.replace(ro, readout={**ro.readout, 1: (1.0, 0.0)})
@@ -359,8 +357,8 @@ class TestDensityOracle:
 
     @pytest.mark.parametrize("form", ["compiled", "naive"])
     def test_mitigated_mc_unbiased_over_seeds(self, form):
-        # Full-noise draws are not pinned to a reference bit for bit, so the
-        # sampler's bias is bounded statistically: over 20 seeds the z-scores
+        # The whole estimate's bias, distributions, draws and statistics
+        # together, is bounded statistically: over 20 seeds the z-scores
         # against the exact value have mean within 3 sigma of 0.
         c = reference_circuit("linear:4", form)
         noise = NoiseModel.from_calibration(graph_calibration(c.graph, **NOISY))
@@ -373,10 +371,11 @@ class TestDensityOracle:
         assert max(abs(v) for v in z) < 5
 
     def test_one_block_unbiased_over_seeds(self):
-        # A naive 5-vertex circuit has 31 elements besides the identity, all
-        # in one block at 256 shots; the same bound as above over 20 seeds.
+        # A naive 5-vertex circuit has 31 elements besides the identity, and
+        # the elements of each support size fit in one block; the same bound
+        # as above over 20 seeds.
         c = reference_circuit("linear:5", "naive")
-        assert len(stabilizer_group(c.graph)) - 1 <= frames.BLOCK // max(256, 1 << c.n)
+        assert all(len(block) <= frames.BLOCK >> k for k, block in support_blocks(stabilizer_group(c.graph)))
         noise = NoiseModel.from_calibration(graph_calibration(c.graph, **NOISY))
         exact = density_oracle(c, noise)
         z = []
@@ -386,9 +385,21 @@ class TestDensityOracle:
         assert abs(sum(z) / len(z)) <= 3 / math.sqrt(len(z))
         assert max(abs(v) for v in z) < 5
 
+    @pytest.mark.parametrize("name, form", [("linear:4", "compiled"), ("linear:4", "naive"), ("star:4", "naive"), ("linear:2", "product")])
+    @pytest.mark.parametrize("model", ["full", "certain"])
+    def test_mitigated_at_shots_cap(self, name, form, model):
+        # At the cap the stderr is about 1e-4, some 20x tighter than the
+        # 100,000-shot checks, and the estimate is still within 4 sigma.
+        c = reference_circuit(name, form)
+        noise = reference_noise(c, model)
+        est = estimate_fidelity(c, noise, shots=sim.SHOTS_CAP, seed=0, mitigate=True)
+        assert est.stderr_mitigated < 2e-4
+        assert abs(est.fidelity_mitigated - density_oracle(c, noise)) <= 4 * est.stderr_mitigated
+
     @pytest.mark.parametrize("rates", [dict(cx_error=1.0), dict(sq_error=1.0)])
     def test_certain_faults_agree(self, rates):
-        # p = 1 has an infinite Poisson rate: every shot gets one fault.
+        # p = 1: every shot gets one fault of the event, and an event's
+        # factor 1 - 2a/T can be negative.
         g = star_graph(4)
         cal = graph_calibration(g, **dict(NOISY, **rates))
         noise = NoiseModel.from_calibration(cal)
@@ -418,9 +429,7 @@ class TestDensityOracle:
 
 
 # ---------------------------------------------------------------------------
-# Frame kernel pinned against a gate-by-gate reference of its draws
-
-FAULT_TYPES = {"idle": 1, "h": 3, "cx": 15}
+# Frame kernel pinned against the dense density matrix and a replay of its draws
 
 
 def _sdg(tab: Tableau, q: int) -> None:
@@ -472,151 +481,95 @@ def _outcome_sampler(tab: Tableau):
     return b0, basis
 
 
-def reference_faults(events, elements, shots, rng):
-    """The sparse fault draws of a block, read in the kernel's order: Poisson
-    arrival counts per (element, noisy event), one shot per arrival, every
-    shot of each p = 1 event, then one type per distinct (slot, event), in
-    ascending order, an integer below 15 modulo the event's number of
-    types. Returns {event: {slot: type}} with slot ``element * shots +
-    shot``."""
-    noisy = [e for e, (_, _, p) in enumerate(events) if p > 0]
-    if not noisy:
-        return {}
-    ps = [events[e][2] for e in noisy]
-    counts = rng.poisson([[0.0 if p >= 1 else shots * -math.log1p(-p) for p in ps]] * elements)
-    arrivals = [(i, e) for i in range(elements) for e, count in zip(noisy, counts[i]) for _ in range(count)]
-    hit = {(i * shots + int(s), e) for (i, e), s in zip(arrivals, rng.integers(0, shots, size=len(arrivals)))}
-    for i in range(elements):
-        for e, p in zip(noisy, ps):
-            if p >= 1:
-                hit |= {(slot, e) for slot in range(i * shots, (i + 1) * shots)}
-    hit = sorted(hit)
-    ntypes = np.array([FAULT_TYPES[events[e][0]] for _, e in hit], dtype=np.int64)
-    types = rng.integers(0, 15, size=len(hit)) % ntypes
-    hits = {}
-    for (slot, e), t in zip(hit, types):
-        hits.setdefault(e, {})[slot] = int(t)
-    return hits
+def support_wires(element: PauliString):
+    return [v for v in range(element.n) if element.support() >> v & 1]
 
 
-def product_table(factors):
-    """table[w]: the product of factors[v] over the set bits v of w, in
-    ascending v, one word at a time."""
-    table = []
-    for w in range(1 << len(factors)):
-        value = 1.0
-        for v, f in enumerate(factors):
-            if w >> v & 1:
-                value *= f
-        table.append(value)
-    return np.array(table)
+def support_blocks(group):
+    """The elements other than the identity by support size k, ascending,
+    each size in group order: (k, elements) pairs."""
+    sizes = sorted({len(support_wires(el)) for el in group} - {0})
+    return [(k, [el for el in group if len(support_wires(el)) == k]) for k in sizes]
 
 
-def reference_block(c, noise, events, ideal_tab, block, shots, rng, mitigate):
-    """One block of the kernel in its gate-by-gate form: (slots, n) uint8
-    frames, each event's gate then its drawn faults, a drawn stabilizer
-    group member, the basis change of each slot's element applied as
-    noiseless gates, then the sparse readout flips, one candidate at a time.
-    Faults are replayed forward, so the kernel's backward images and its
-    flip formula are checked against gate-by-gate propagation. Returns
-    (raw, its stderr, mitigated, its stderr) arrays over the block."""
-    n, m = c.n, len(block)
-    slots = m * shots
-    hits = reference_faults(events, m, shots, rng)
-    members = group_products([row[1:] for row in _canonical(ideal_tab)])
-    fx = np.zeros((slots, n), dtype=np.uint8)
-    fz = np.zeros((slots, n), dtype=np.uint8)
-
-    def gate(kind, wires, rows=slice(None)):
-        if kind == "h":
-            v = wires[0]
-            tmp = fx[rows, v].copy()
-            fx[rows, v] = fz[rows, v]
-            fz[rows, v] = tmp
-        elif kind == "sdg":
-            fz[rows, wires[0]] ^= fx[rows, wires[0]]
-        else:
-            cq, tq = wires
-            fx[rows, tq] ^= fx[rows, cq]
-            fz[rows, cq] ^= fz[rows, tq]
-
-    for e, (kind, wires, _) in enumerate(events):
-        if kind != "idle":
-            gate(kind, wires)
-        for slot, t in hits.get(e, {}).items():
-            if kind == "idle":
-                fz[slot, wires[0]] ^= 1
-            elif kind == "h":  # X, Y, Z
-                fx[slot, wires[0]] ^= t < 2
-                fz[slot, wires[0]] ^= t > 0
-            else:  # code t + 1: X then Z on the first wire, then on the second
-                a, b = wires
-                for k, (frame, v) in enumerate(((fx, a), (fz, a), (fx, b), (fz, b))):
-                    frame[slot, v] ^= (t + 1) >> k & 1
-    picked = rng.integers(0, 1 << n, size=slots)
-    for v in range(n):
-        fx[:, v] ^= np.array([members[g][0] >> v & 1 for g in picked], dtype=np.uint8)
-        fz[:, v] ^= np.array([members[g][1] >> v & 1 for g in picked], dtype=np.uint8)
-    bits = np.zeros((slots, n), dtype=np.uint8)
-    for i, element in enumerate(block):
-        rows = slice(i * shots, (i + 1) * shots)
-        for v in range(n):  # basis change: H on X, S-dagger then H on Y
-            if (element.x_mask >> v) & 1:
-                if (element.z_mask >> v) & 1:
-                    gate("sdg", (v,), rows)
-                gate("h", (v,), rows)
-        b0, _ = _outcome_sampler(_rotated_tableau(ideal_tab, element))
-        bits[rows] = fx[rows] ^ b0
-
-    rates = [noise.readout[q] for q in c.placement]
-    pmax = [max(rate) for rate in rates]
-    on = [[element.support() >> v & 1 for v in range(n)] for element in block]
-    lam = [[0.0 if not on[i][v] or pmax[v] >= 1 else shots * -math.log1p(-pmax[v]) for v in range(n)] for i in range(m)]
-    counts = rng.poisson(lam)
-    cells = [(i, v) for i in range(m) for v in range(n) for _ in range(counts[i][v])]
-    candidates = {(i * shots + int(s), v) for (i, v), s in zip(cells, rng.integers(0, shots, size=len(cells)))}
-    candidates |= {(i * shots + s, v) for i in range(m) for v in range(n) if on[i][v] and pmax[v] >= 1 for s in range(shots)}
-    kept = sorted(candidates)
-    for (slot, v), u in zip(kept, rng.random(len(kept))):
-        if u < rates[v][bits[slot, v]] / pmax[v]:
-            bits[slot, v] ^= 1
-
-    hist = np.zeros((m, 1 << n), dtype=np.int64)
-    for i, element in enumerate(block):
-        words = [sum(int(bits[slot, v]) << v for v in range(n) if element.support() >> v & 1) for slot in range(i * shots, (i + 1) * shots)]
-        hist[i] = np.bincount(words, minlength=1 << n)
-    signs = np.array([float(element.sign) for element in block])
-    raw = frames._summarize(hist, product_table([-1.0] * n), signs, shots)
-    if not mitigate:
-        return (*raw, None, None)
-    weights = [_mitigation_weights(*rate) for rate in rates]
-    w0 = product_table([w0 for w0, _ in weights])
-    scale = signs * np.array([w0[element.support()] for element in block])
-    return (*raw, *frames._summarize(hist, product_table([w1 / w0 for w0, w1 in weights]), scale, shots))
+def kernel_distributions(members, elements, readout):
+    """``frames._distributions`` of elements of one support size, as one block."""
+    x = np.array([el.x_mask for el in elements])
+    z = np.array([el.z_mask for el in elements])
+    wires = np.array([support_wires(el) for el in elements])
+    return frames._distributions(members, x, z, wires, np.array(readout, dtype=float))
 
 
-def reference_sample_elements(c, noise, events, ideal_tab, group, shots, seed, mitigate):
-    """Block by block with the kernel's block rule, from one stream."""
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_SDG = np.diag([1, -1j])
+
+
+def dense_distribution(rho, element, rates):
+    """The distribution of the element's support word measured on rho: the
+    basis change (H on each X wire, S-dagger then H on each Y wire; qubit v
+    is bit v of a basis index), the diagonal, its marginal with bit j the
+    j-th support wire, then each support wire's confusion matrix
+    [[1 - p01, p10], [p01, 1 - p10]], column the true bit and row the read
+    one."""
+    u = np.eye(1)
+    for v in range(element.n - 1, -1, -1):
+        x, z = element.x_mask >> v & 1, element.z_mask >> v & 1
+        u = np.kron(u, _H @ _SDG if x and z else _H if x else np.eye(2))
+    probs = np.real(np.diag(u @ rho @ u.conj().T))
+    wires = support_wires(element)
+    dist = np.zeros(1 << len(wires))
+    for b, pb in enumerate(probs):
+        dist[sum((b >> v & 1) << j for j, v in enumerate(wires))] += pb
+    for j, v in enumerate(wires):
+        p01, p10 = rates[v]
+        confusion = np.array([[1 - p01, p10], [p01, 1 - p10]])
+        dist = np.einsum("rb,hbl->hrl", confusion, dist.reshape(-1, 2, 1 << j)).ravel()
+    return dist
+
+
+def replay_sample_elements(c, noise, events, ideal_tab, group, shots, seed, mitigate):
+    """The kernel's draws replayed from its docstring: one stream; the
+    elements by support size k, then group order, in blocks of BLOCK // 2^k;
+    one multinomial per block of its ``frames._distributions``.
+    Each word's value is computed one word at a time: the sign times (-1)
+    per read 1, raw, and times the read bits' mitigation weights, in
+    ascending wire order, mitigated."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    per = max(1, frames.BLOCK // max(shots, 1 << c.n))
-    todo = [element for element in group if element.support()]
+    members = frames._Group(ideal_tab, events)
+    rates = [noise.readout[q] for q in c.placement]
+    weights = [_mitigation_weights(*rate) for rate in rates]
     values = {}
-    for start in range(0, len(todo), per):
-        block = todo[start : start + per]
-        raw, err_raw, mit, err_mit = reference_block(c, noise, events, ideal_tab, block, shots, rng, mitigate)
-        for i, element in enumerate(block):
-            values[element.label] = sim.ElementEstimate(
-                element.label, float(raw[i]), None if mit is None else float(mit[i]),
-                float(err_raw[i]), None if err_mit is None else float(err_mit[i]),
-            )
-    one = [float(element.sign) for element in group]
-    return [
-        values.get(el.label) or sim.ElementEstimate(el.label, v, v if mitigate else None, 0.0, 0.0 if mitigate else None)
-        for el, v in zip(group, one)
-    ]
+    for k, todo in support_blocks(group):
+        per = frames.BLOCK >> k
+        for start in range(0, len(todo), per):
+            block = todo[start : start + per]
+            hist = rng.multinomial(shots, kernel_distributions(members, block, rates))
+            raw = [[el.sign * (-1.0) ** bin(w).count("1") for w in range(1 << k)] for el in block]
+            raw, err_raw = frames._summarize(hist, np.array(raw), shots)
+            mit = err_mit = [None] * len(block)
+            if mitigate:
+                table = []
+                for el in block:
+                    row = []
+                    for w in range(1 << k):
+                        value = 1.0
+                        for j, v in enumerate(support_wires(el)):
+                            value *= weights[v][w >> j & 1]
+                        row.append(el.sign * value)
+                    table.append(row)
+                mit, err_mit = (a.tolist() for a in frames._summarize(hist, np.array(table), shots))
+            for i, el in enumerate(block):
+                values[el.label] = sim.ElementEstimate(el.label, float(raw[i]), mit[i], float(err_raw[i]), err_mit[i])
+
+    def one(el):  # the identity: its sign, drawn from nothing
+        sign = float(el.sign)
+        return sim.ElementEstimate(el.label, sign, sign if mitigate else None, 0.0, 0.0 if mitigate else None)
+
+    return [values.get(el.label) or one(el) for el in group]
 
 
 NOISY = dict(sq_error=0.05, cx_error=0.2, coherence_us=0.5, p01=0.05, p10=0.08)
+NOISE_MODELS = ["noiseless", "readout-only", "full", "certain"]
 
 
 def reference_circuit(name, form):
@@ -640,6 +593,18 @@ def reference_circuit(name, form):
     return compiled(g, cal) if form == "compiled" else naive_circuit(g, identity_embedding(g), cal)
 
 
+def reference_noise(c, model):
+    """The reference cases' noise models; "certain" has p = 1 on every gate event."""
+    rates = dict(NOISY, cx_error=1.0, sq_error=1.0) if model == "certain" else NOISY
+    cal = graph_calibration(c.graph, **rates)
+    return {
+        "noiseless": NoiseModel.noiseless,  # every event has p = 0
+        "readout-only": NoiseModel.readout_only,
+        "full": NoiseModel.from_calibration,
+        "certain": NoiseModel.from_calibration,
+    }[model](cal)
+
+
 def test_estimate_golden():
     # Sampled estimates under full noise, raw and mitigated, on a compiled
     # and a naive circuit: hashed with every per-element value, so the
@@ -651,17 +616,18 @@ def test_estimate_golden():
     for c in (compiled(g, cal), naive_circuit(g, identity_embedding(g), cal)):
         for mitigate in (False, True):
             h.update(repr(estimate_fidelity(c, noise, shots=500, seed=17, mitigate=mitigate)).encode())
-    # The digest of the block kernel's draws (one stream per estimate, a
-    # random stabilizer frame per shot, one fault type per distinct hit,
-    # sparse readout candidates). Mitigated: 0.2743 and 0.1158 against
-    # density-oracle values of 0.2978 and 0.1138 (stderr 0.017 each).
-    assert h.hexdigest() == "593e17c280ed3d6e3848a062a5762857e94d4f5eefd989ca4a3651d93fea086c"
+    # The digest of one multinomial histogram per element from its exact
+    # support-word distribution, in blocks by support size. Mitigated:
+    # 0.3508 and 0.1078 against density-oracle values of 0.2978 and 0.1138
+    # (stderr 0.017 each; the compiled value is a 3.2 sigma draw of this
+    # seed, and 2^24 shots give 0.29773 +- 0.00009).
+    assert h.hexdigest() == "c604132a8398c82d1438c6a1305525a133373cb39383e0df079bfae6365e2435"
 
 
-def assert_matches_reference(monkeypatch, c, noise, shots, mitigate):
+def assert_matches_replay(monkeypatch, c, noise, shots, mitigate):
     got = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
     with monkeypatch.context() as mp:
-        mp.setattr(frames, "sample_elements", reference_sample_elements)
+        mp.setattr(frames, "sample_elements", replay_sample_elements)
         want = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
     assert got == want
 
@@ -672,34 +638,39 @@ class TestFrameKernelReference:
         [(g, f) for g in ("linear:3", "linear:4", "star:4") for f in ("compiled", "naive")]
         + [("linear:2", "product")],
     )
-    @pytest.mark.parametrize("model", ["noiseless", "readout-only", "full", "certain"])
+    @pytest.mark.parametrize("model", NOISE_MODELS)
     def test_bit_identical_to_reference(self, monkeypatch, name, form, model):
+        # Every element's distribution matches the density oracle's rho to
+        # 1e-12, and the estimates are bit-identical to a replay of the
+        # kernel's draws from those distributions.
         c = reference_circuit(name, form)
-        rates = dict(NOISY, cx_error=1.0, sq_error=1.0) if model == "certain" else NOISY
-        cal = graph_calibration(c.graph, **rates)
-        noise = {
-            "noiseless": NoiseModel.noiseless,  # every event has p = 0 and draws nothing
-            "readout-only": NoiseModel.readout_only,
-            "full": NoiseModel.from_calibration,
-            "certain": NoiseModel.from_calibration,  # every gate event has p = 1
-        }[model](cal)
+        noise = reference_noise(c, model)
+        events = sim._event_stream(c, noise)
+        rho = frames._density_matrix(c, events)
+        rates = [noise.readout[q] for q in c.placement]
+        members = frames._Group(simulate_ideal(c), events)
+        for _, block in support_blocks(stabilizer_group(c.graph)):
+            for el, got in zip(block, kernel_distributions(members, block, rates)):
+                assert np.abs(got - dense_distribution(rho, el, rates)).max() <= 1e-12, el.label
         for mitigate in (False, True):
             for shots in (1, 500):
-                assert_matches_reference(monkeypatch, c, noise, shots, mitigate)
+                assert_matches_replay(monkeypatch, c, noise, shots, mitigate)
 
     @pytest.mark.parametrize("shots", [1, 64])
     def test_element_heavy_bit_identical_to_reference(self, monkeypatch, shots):
         # 511 elements, some on all 9 qubits and some with 8 free outcome
-        # directions, 32 to a block: 15 full blocks, then a partial one.
+        # directions. Blocks hold 2^14 cells: the 161 elements of support 7
+        # fill one block of 128 and part of another, and so do the 123 of
+        # support 8 (64 to a block) and the 37 of support 9 (32).
         c = reference_circuit("linear:9", "naive")
         tab = simulate_ideal(c)
         group = stabilizer_group(c.graph)[1:]
         assert any("I" not in el.label for el in group)
         assert max(_outcome_sampler(_rotated_tableau(tab, el))[1].shape[0] for el in group) == 8
-        per = frames.BLOCK // max(shots, 1 << c.n)
-        assert per == 32 and len(group) % per == 31
+        counts = {k: len(block) for k, block in support_blocks(group)}
+        assert [(counts[k], frames.BLOCK >> k) for k in (7, 8, 9)] == [(161, 128), (123, 64), (37, 32)]
         noise = NoiseModel.from_calibration(graph_calibration(c.graph, **NOISY))
-        assert_matches_reference(monkeypatch, c, noise, shots, mitigate=True)
+        assert_matches_replay(monkeypatch, c, noise, shots, mitigate=True)
 
     def test_cases_cover_y_and_empty_outcome_basis(self):
         def settings(name, form):
@@ -712,59 +683,28 @@ class TestFrameKernelReference:
         assert any("Y" in label for label, _ in settings("linear:3", "naive"))
         assert any(free == 0 for _, free in settings("linear:2", "product"))
 
-    def test_certain_event_hits_every_shot(self):
-        faults = frames._FaultTable(1, [("h", (0,), 1.0)], 1000)
-        frame = faults.sample(np.random.default_rng(0), 1)
-        assert np.all(frame != 0)
-        # X, Y, Z are the frames 1, 3, 2 (x | z << 1), each on about a third of the shots
-        assert all(abs(np.count_nonzero(frame == m) - 333) < 60 for m in (1, 2, 3))
-
-    def test_hits_rule(self):
-        # Two elements x (p = 0.3, p = 1, p = 0) at 20,000 shots: each
-        # p = 0.3 cell hits a fraction of its shots within 4 sigma of p,
-        # each p = 1 cell hits every shot once, a p = 0 cell never, and the
-        # hits come strictly ascending in (slot, column), so none twice.
-        shots, p = 20_000, 0.3
-        rate, certain = frames._rates([p, 1.0, 0.0], shots)
-        cells = (2, 3)
-        slot, column = frames._hits(np.random.default_rng(0), np.broadcast_to(rate, cells), np.broadcast_to(certain, cells), shots)
-        assert np.all(np.diff(slot * 3 + column) > 0)
-        element, shot = np.divmod(slot, shots)
-        for i in range(2):
-            fraction = np.count_nonzero((element == i) & (column == 0)) / shots
-            assert abs(fraction - p) <= 4 * math.sqrt(p * (1 - p) / shots)
-            assert np.array_equal(shot[(element == i) & (column == 1)], np.arange(shots))
-            assert not np.any((element == i) & (column == 2))
-
 
 # ---------------------------------------------------------------------------
 # Closed-form outcome distributions against the tableau elimination
 
 
-def outcome_word(bits) -> int:
-    return sum(int(b) << j for j, b in enumerate(bits))
-
-
 def assert_outcomes_match_tableau(c):
-    """For every group element, ``frames._Outcomes`` gives on the support the
-    b0 that elimination on the rotated tableau gives, and the flips of the
-    2^n group members, as ``frames._flips`` reads them, are the
-    elimination's span on the support with the same multiplicities: each
-    point as often among the members as among the span's 2^free words."""
+    """For every group element, the kernel's noiseless distribution (no noisy
+    event, no readout error) is the elimination's on the rotated tableau: b0
+    XOR each of the 2^free points of its span, read on the support, each with
+    probability 2^-free."""
     n = c.n
     tab = simulate_ideal(c)
-    outcomes = frames._Outcomes(tab)
-    for el in stabilizer_group(c.graph):
-        b0, basis = _outcome_sampler(_rotated_tableau(tab, el))
-        span = [0]
-        for row in basis:
-            span += [w ^ outcome_word(row) for w in span]
-        got_b0 = outcomes.of(np.array([[el.x_mask]], dtype=frames.WORD), np.array([[el.z_mask]], dtype=frames.WORD))
-        assert int(got_b0[0]) & el.support() == outcome_word(b0) & el.support(), el.label
-        want = Counter(w & el.support() for w in span)
-        got = Counter(frames._flips(outcomes.member, el.x_mask, el.z_mask, n).tolist())
-        assert set(got) == set(want), el.label
-        assert all(got[w] * len(span) == want[w] << n for w in want), el.label
+    members = frames._Group(tab, [])
+    for k, block in support_blocks(stabilizer_group(c.graph)):
+        for el, got in zip(block, kernel_distributions(members, block, np.zeros((n, 2)))):
+            b0, basis = _outcome_sampler(_rotated_tableau(tab, el))
+            points = np.array([b0 @ (1 << np.arange(n))])
+            for row in basis:
+                points = np.concatenate((points, points ^ int(row @ (1 << np.arange(n)))))
+            words = sum((points >> v & 1) << j for j, v in enumerate(support_wires(el)))
+            want = np.bincount(words, minlength=1 << k) / points.size
+            assert np.abs(got - want).max() <= 1e-12, el.label
 
 
 @st.composite
