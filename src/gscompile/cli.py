@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=4096)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mitigate", action="store_true")
-    p.add_argument("--analytic", action="store_true", help="closed-form readout-only expectations, no sampling")
+    p.add_argument("--analytic", action="store_true", help="exact expectations under the full noise model, no sampling")
     p.add_argument("--report", default=None, help="also write the report JSON here")
     p.set_defaults(func=cmd_simulate)
     return parser

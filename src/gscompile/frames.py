@@ -1,5 +1,5 @@
-"""numpy kernels of the noisy simulation: the stabilizer-measurement Monte
-Carlo estimator and the dense density-matrix oracle, both built on the event
+"""numpy kernels of the noisy simulation: the stabilizer-measurement
+estimator and the dense density-matrix oracle, both built on the event
 stream of ``sim._event_stream``. ``sim.estimate_fidelity`` and
 ``sim.density_oracle`` validate their inputs and import this module once per
 call, so numpy is loaded only when noise is simulated.
@@ -15,10 +15,11 @@ Walsh-Hadamard transform of its z-moments, each the character of the member
 equal to the element restricted to a subset of the support (0 when none is),
 with readout confusion applied per wire (``_distributions``). For the ideal
 state these are the uniform outcomes over an affine subspace of Aaronson &
-Gottesman (PRA 70, 052328, 2004). Each element's shots are then one
-multinomial draw of a histogram of its support words, which gives its raw
-and mitigated values: the shots are independent draws of the noise model,
-at a cost of 2^k cells per element whatever the number of shots.
+Gottesman (PRA 70, 052328, 2004). An element's raw and mitigated values are
+the mean over that distribution of what a shot reading each word is worth:
+exactly, in the analytic mode, or over one multinomial histogram of its
+shots drawn from it, so the shots are independent draws of the noise model.
+Either costs 2^k cells per element whatever the number of shots.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import numpy as np
 
 from .circuit import TimedCircuit
 from .graphs import PauliString, group_products
-from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _readout_rates
+from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _mitigation_weights
 
 # ---------------------------------------------------------------------------
-# Stabilizer-measurement Monte Carlo
+# Stabilizer-measurement estimator
 
 BLOCK = 1 << 14  # a block's distribution and histogram cells are at most this
 
@@ -132,13 +133,14 @@ def _distributions(members: _Group, x: np.ndarray, z: np.ndarray, wires: np.ndar
     size k, X masks x and Z masks z: row i is over the 2^k words whose bit j
     is the bit read on wire ``wires[i, j]``, the support in ascending order.
     The z-moment of each subset M of the support is the character of the
-    member equal to the element restricted to M, 0 when no member is
-    (``sim._z_moment``'s rule). On each wire, readout confusion mixes each
-    moment with the moment without that wire, by ``sim._element_analytic``'s
-    coefficients c0 = p10 - p01 and c1 = 1 - p01 - p10 (``readout[v]`` is
-    vertex v's (p01, p10)), and one step of the inverse Walsh-Hadamard
-    transform turns the pair into probabilities. Rounding is clipped into
-    [0, 1]."""
+    member equal to the element restricted to M, 0 when no member is: after
+    the element's basis change, Z on an X or Y wire is that wire's X or Y
+    before it, so the moment is the restricted element's expectation on the
+    unrotated state. On each wire, readout confusion mixes each moment with
+    the moment without that wire, by the coefficients c0 = p10 - p01 and
+    c1 = 1 - p01 - p10 (``readout[v]`` is vertex v's (p01, p10)), and one
+    step of the inverse Walsh-Hadamard transform turns the pair into
+    probabilities. Rounding is clipped into [0, 1]."""
     m, k = wires.shape
     n = members.index.size // 2
     p01, p10 = readout[wires, 0], readout[wires, 1]
@@ -173,7 +175,7 @@ def _summarize(hist: np.ndarray, vals: np.ndarray, shots: int) -> Tuple[np.ndarr
     return mean, np.sqrt((hist * dev).sum(axis=1) / max(shots - 1, 1)) / math.sqrt(shots)
 
 
-def sample_elements(
+def estimate_elements(
     c: TimedCircuit,
     noise: NoiseModel,
     events,
@@ -182,21 +184,22 @@ def sample_elements(
     shots: int,
     seed: int,
     mitigate: bool,
+    analytic: bool,
 ) -> List[ElementEstimate]:
-    """Monte Carlo estimate of every group element, from one stream seeded
-    with the seed. The elements other than the identity go by support size
-    k, ascending, and within one size in group order, in blocks of
-    ``BLOCK // 2^k`` elements (k <= 12, the group's cap). Each block makes
-    the stream's one kind of draw: ``multinomial(shots, P)`` of its
-    (elements, 2^k) distributions P (``_distributions``), one histogram of
-    support words per element. A shot read as word w is worth the element's
-    sign times the parity of w, raw, and times the product of the read
-    bits' ``_mitigation_weights``, mitigated. The identity draws nothing:
-    its value is its sign."""
+    """Estimate of every group element. The elements other than the identity
+    go by support size k, ascending, and within one size in group order, in
+    blocks of ``BLOCK // 2^k`` elements (k <= 12, the group's cap), each
+    with its (elements, 2^k) distributions P (``_distributions``). A shot
+    read as word w is worth the element's sign times the parity of w, raw,
+    and times the product of the read bits' ``_mitigation_weights``,
+    mitigated. Analytic, an element's values are their exact means over P,
+    with stderr 0, and nothing is drawn. Sampled, one stream seeded with the
+    seed makes one kind of draw, ``multinomial(shots, P)`` per block, one
+    histogram of support words per element, whose means and standard errors
+    give the values. The identity draws nothing: its value is its sign."""
     n = c.n
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     members = _Group(ideal_tab, events)
-    rates, weights = _readout_rates(c, noise, mitigate)
+    rates = [noise.readout[q] for q in c.placement]
     readout = np.array(rates)
     x, z, supports = np.array([(el.x_mask, el.z_mask, el.support()) for el in group], dtype=np.int64).T
     on = supports[:, None] >> np.arange(n) & 1
@@ -206,17 +209,25 @@ def sample_elements(
     stats[0] = stats[2] = signs  # the identity's values
     # A read bit b on vertex v weighs values[v, b]: the parity, raw, and the
     # mitigation weight, mitigated; a shot weighs the product over its bits.
-    tables = [(0, np.tile([1.0, -1.0], (n, 1)))] + ([(2, np.array(weights))] if mitigate else [])
+    tables = [(0, np.tile([1.0, -1.0], (n, 1)))]
+    if mitigate:  # a confusion that cannot be inverted raises, naming the lowest vertex's qubit
+        tables.append((2, np.array([_mitigation_weights(*rate) for rate in rates])))
+    rng = None if analytic else np.random.default_rng(np.random.SeedSequence(seed))
     for k in range(1, n + 1):
         todo = np.flatnonzero(sizes == k)
         per = BLOCK >> k
         for start in range(0, todo.size, per):
             ks = todo[start : start + per]
             wires = np.nonzero(on[ks])[1].reshape(ks.size, k)
-            hist = rng.multinomial(shots, _distributions(members, x[ks], z[ks], wires, readout))
+            cells = _distributions(members, x[ks], z[ks], wires, readout)
+            if rng is not None:
+                cells = rng.multinomial(shots, cells)  # the histogram, in place of P
             for row, values in tables:
                 vals = signs[ks, None] * _kron(values[wires, :, None])[..., 0]
-                stats[row : row + 2, ks] = _summarize(hist, vals, shots)
+                if rng is None:
+                    stats[row, ks] = (cells * vals).sum(axis=1)
+                else:
+                    stats[row : row + 2, ks] = _summarize(cells, vals, shots)
     return [
         ElementEstimate(el.label, raw, mit if mitigate else None, err_raw, err_mit if mitigate else None)
         for el, (raw, err_raw, mit, err_mit) in zip(group, stats.T.tolist())

@@ -1,9 +1,8 @@
 """Stabilizer verification and noisy fidelity estimation for timed circuits.
 
-This module needs no numpy. Only a sampled ``estimate_fidelity`` and
-``density_oracle`` load it, by importing their kernels from
-``gscompile.frames`` once per call; placing, solving, deriving, the tableau
-check and the analytic estimate never do.
+This module needs no numpy. ``estimate_fidelity`` and ``density_oracle``
+load it, by importing their kernels from ``gscompile.frames`` once per call;
+placing, solving, deriving and the tableau check never do.
 
 Ideal verification runs the circuit on a stabilizer tableau and checks that
 stabilizers have expectation +1. The tableau keeps one integer bitmask per
@@ -11,22 +10,21 @@ qubit for its X and for its Z bits (bit k is row k) plus a sign mask, and
 has the circuits' two gates, H and CNOT. Every reader of the prepared state
 goes through one canonical form of the circuit's own tableau, the reduced
 row echelon form of its rows, combined with ``mul_phase``: expectations and
-so ``verify_graph_state``, the analytic estimate's z-moments (each one an
-element restricted to a subset of its support) and the stabilizer group from
-which the Monte Carlo estimator reads its measurement distributions. An
-expectation is a membership test alone: the n rows are
-independent and commute, so they span a maximal commuting set, and a Pauli
-commutes with every row exactly when its X/Z bits lie in their span. Off the
-span it anticommutes with some row (expectation 0); on it, the one group
-element with its bits gives the sign. Noisy estimation is a Monte Carlo
-stabilizer experiment: one measurement setting per stabilizer element,
-depolarizing noise after gates, idle dephasing in the schedule's gaps,
-readout confusion, and optional unbiased readout mitigation. The sampler
-and the dense density-matrix oracle for small systems read the one event
-stream built here. The sampler pushes each fault to the end of the circuit
-through images precomputed from it, turns them into the exact distribution
-of each element's read support word, and draws each element's shots as one
-histogram from it; the oracle replays the stream.
+so ``verify_graph_state``, and the stabilizer group from which the noisy
+estimator reads its measurement distributions. An expectation is a
+membership test alone: the n rows are independent and commute, so they span
+a maximal commuting set, and a Pauli commutes with every row exactly when
+its X/Z bits lie in their span. Off the span it anticommutes with some row (expectation 0); on it, the one group
+element with its bits gives the sign. Noisy estimation is a stabilizer
+experiment: one measurement setting per stabilizer element, depolarizing
+noise after gates, idle dephasing in the schedule's gaps, readout confusion,
+and optional unbiased readout mitigation. The estimator and the dense
+density-matrix oracle for small systems read the one event stream built
+here. The estimator pushes each fault to the end of the circuit through
+images precomputed from it and turns them into the exact distribution of
+each element's read support word. Its analytic values are the exact means
+over those distributions; its sampled values come from one histogram of
+each element's shots drawn from them. The oracle replays the stream.
 """
 
 from __future__ import annotations
@@ -306,15 +304,6 @@ def _mitigation_weights(p01: float, p10: float) -> Tuple[float, float]:
     return (1.0 + p01 - p10) / det, -(1.0 - p01 + p10) / det
 
 
-def _readout_rates(c: TimedCircuit, noise: NoiseModel, mitigate: bool) -> Tuple[list, Optional[list]]:
-    """(p01, p10) of each vertex's qubit, in vertex order, and, when
-    mitigating, each one's ``_mitigation_weights`` (None otherwise). Both
-    estimators read the readout here, so a confusion that cannot be inverted
-    fails the same way in both, naming the lowest vertex's qubit."""
-    rates = [noise.readout[q] for q in c.placement]
-    return rates, [_mitigation_weights(*rate) for rate in rates] if mitigate else None
-
-
 @dataclass(frozen=True)
 class ElementEstimate:
     label: str
@@ -326,7 +315,8 @@ class ElementEstimate:
 
 @dataclass(frozen=True)
 class NoisyEstimate:
-    """Stabilizer-sampling fidelity: raw and (optionally) readout-mitigated."""
+    """Stabilizer-measurement fidelity, sampled or exact (``analytic``): raw
+    and (optionally) readout-mitigated."""
 
     fidelity_raw: float
     fidelity_mitigated: Optional[float]
@@ -338,44 +328,6 @@ class NoisyEstimate:
     elements: Tuple[ElementEstimate, ...]
 
 
-def _z_moment(canon: Canon, element: PauliString, m: int) -> float:
-    """<Z_M> on the state after the element's basis change, M the vertices
-    of mask m within its support. H Z H = X on an X wire, and S H Z H S-dagger
-    = Y on a Y wire, so it is the expectation of the element restricted to M
-    on the unrotated state: one membership test against its canonical rows,
-    whose sign convention is the Hermitian one these restrictions have."""
-    sign = _member(canon, element.x_mask & m, element.z_mask & m)
-    return 0.0 if sign is None else float(sign)
-
-
-def _element_analytic(
-    element: PauliString, canon: Canon, rates: List[Tuple[float, float]], mitigate: bool
-) -> ElementEstimate:
-    """Closed-form expectation under readout confusion alone, from the
-    canonical rows of the circuit's tableau and the readout rates by vertex.
-
-    Gate and idle noise are ignored in this mode; exact for readout-limited
-    noise models.
-    """
-    support = [v for v in range(element.n) if (element.support() >> v) & 1]
-    raw = 0.0
-    for mask in range(1 << len(support)):
-        term = 1.0
-        subset = 0
-        for idx, v in enumerate(support):
-            p01, p10 = rates[v]
-            if (mask >> idx) & 1:
-                subset |= 1 << v
-                term *= 1.0 - p01 - p10
-            else:
-                term *= p10 - p01
-        if term != 0.0:
-            raw += term * _z_moment(canon, element, subset)
-    raw *= element.sign
-    mit = element.sign * _z_moment(canon, element, element.support()) if mitigate else None
-    return ElementEstimate(element.label, raw, mit, 0.0, 0.0 if mitigate else None)
-
-
 def estimate_fidelity(
     c: TimedCircuit,
     noise: NoiseModel,
@@ -384,12 +336,14 @@ def estimate_fidelity(
     mitigate: bool = False,
     analytic: bool = False,
 ) -> NoisyEstimate:
-    """Fidelity with the target graph state via stabilizer sampling.
+    """Fidelity with the target graph state via stabilizer measurements.
 
     One measurement setting per stabilizer element; fidelity is the mean of
-    the 2^n element expectations. One RNG stream, seeded with the seed,
-    serves the whole estimate, so results are reproducible bit for bit;
-    ``frames.sample_elements`` states the order in which it is drawn. A
+    the 2^n element expectations. Analytic, each element's values are the
+    exact expectations under the full noise model, and nothing is sampled.
+    Sampled, one RNG stream, seeded with the seed, serves the whole
+    estimate, so results are reproducible bit for bit;
+    ``frames.estimate_elements`` states the order in which it is drawn. A
     sampled estimate takes at most ``SHOTS_CAP`` shots.
     """
     if not _is_int(shots) or shots < 1:
@@ -405,14 +359,9 @@ def estimate_fidelity(
     ideal_tab = simulate_ideal(c)
     events = _event_stream(c, noise)
 
-    if analytic:  # the identity element's closed form is its sign
-        canon = _canonical(ideal_tab)
-        rates, _ = _readout_rates(c, noise, mitigate)
-        elements = [_element_analytic(element, canon, rates, mitigate) for element in group]
-    else:
-        from . import frames  # numpy: loaded once a noisy estimate is sampled
+    from . import frames  # numpy: loaded only when noise is simulated
 
-        elements = frames.sample_elements(c, noise, events, ideal_tab, group, shots, seed, mitigate)
+    elements = frames.estimate_elements(c, noise, events, ideal_tab, group, shots, seed, mitigate, analytic)
 
     m = len(elements)
     raw = sum(e.raw for e in elements) / m
@@ -439,8 +388,8 @@ def estimate_fidelity(
 
 def density_oracle(c: TimedCircuit, noise: NoiseModel) -> float:
     """Exact <G|rho|G> by dense channel evolution of the event stream the
-    Monte Carlo estimator samples (readout errors excluded: the
-    sampling estimator's mitigated value is unbiased for this quantity)."""
+    estimator reads (readout errors excluded: the sampled mitigated value is
+    unbiased for this quantity, and the analytic one equals it)."""
     n = c.n
     if n > DENSITY_CAP:
         raise CapExceededError(f"density oracle supports n <= {DENSITY_CAP}, got {n}")

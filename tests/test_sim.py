@@ -28,7 +28,6 @@ from gscompile.sim import (
     _canonical,
     _member,
     _mitigation_weights,
-    _z_moment,
     density_oracle,
     estimate_fidelity,
     expectation,
@@ -157,9 +156,8 @@ class TestSimulateIdeal:
 
 def test_expectation_golden():
     # Every group element and 300 seeded random signed Paulis (most of them
-    # anticommute with some stabilizer) on naive and compiled circuits, plus
-    # the analytic readout-only estimates, which read signs through
-    # ``_member``: hashed, so every expectation is pinned bit for bit.
+    # anticommute with some stabilizer) on naive and compiled circuits:
+    # hashed, so every expectation is pinned bit for bit.
     h = hashlib.sha256()
     for name in ("linear:8", "linear:10", "linear:11", "fig1-seven", "star:4"):
         g = builtin_graph(name)
@@ -172,12 +170,25 @@ def test_expectation_golden():
         for c in (naive_circuit(g, identity_embedding(g), cal), compiled(g, cal)):
             tab = simulate_ideal(c)
             h.update(bytes(expectation(tab, p) % 3 for p in paulis))
+    assert h.hexdigest() == "38f0848740253190d6c47034aa57b81d9ef9c5c71183fbbe037068d14c0eeb66"
+
+
+def test_analytic_golden():
+    # Analytic estimates under full noise, every per-element value hashed,
+    # so their arithmetic is pinned bit for bit; where the density oracle
+    # reaches, the mitigated fidelity is its value.
+    h = hashlib.sha256()
     for n in (4, 5, 6):
         g = linear_graph(n)
         cal = graph_calibration(g, **NOISY)
-        est = estimate_fidelity(compiled(g, cal), NoiseModel.from_calibration(cal), analytic=True, mitigate=True)
+        c, noise = compiled(g, cal), NoiseModel.from_calibration(cal)
+        est = estimate_fidelity(c, noise, analytic=True, mitigate=True)
+        if n <= sim.DENSITY_CAP:
+            assert abs(est.fidelity_mitigated - density_oracle(c, noise)) <= 1e-12
         h.update(repr(est).encode())
-    assert h.hexdigest() == "f78f7883283e6749f0cb76245051e9cd80493343e0199d860d3ef66da166fa61"
+    # Mitigated 0.29781, 0.22940 and 0.18118; raw 0.21614, 0.15193 and
+    # 0.10947.
+    assert h.hexdigest() == "21ea0961eda177996b1f31929bb218b6eea67650493f9c4e527a910dfb11caf0"
 
 
 class TestNoiseModel:
@@ -283,14 +294,18 @@ class TestEstimateFidelity:
             estimate_fidelity(c, NoiseModel.noiseless(line_calibration(2)), shots=0)
 
     def test_shots_cap(self, monkeypatch):
-        # Refused before any sampling; the analytic estimate draws no shots.
+        # Refused before any sampling. The analytic estimate draws no shots:
+        # their number and the seed change none of its values.
         c = compiled(linear_graph(3), line_calibration(3))
         noise = NoiseModel.from_calibration(line_calibration(3))
-        monkeypatch.setattr(frames, "sample_elements", lambda *args: pytest.fail("sampled above the cap"))
-        with pytest.raises(CapExceededError, match=f"shots <= {sim.SHOTS_CAP}, got {sim.SHOTS_CAP + 1}; use fewer shots"):
-            estimate_fidelity(c, noise, shots=sim.SHOTS_CAP + 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(frames, "estimate_elements", lambda *args: pytest.fail("sampled above the cap"))
+            with pytest.raises(CapExceededError, match=f"shots <= {sim.SHOTS_CAP}, got {sim.SHOTS_CAP + 1}; use fewer shots"):
+                estimate_fidelity(c, noise, shots=sim.SHOTS_CAP + 1)
         assert sim.SHOTS_CAP == 1 << 24
-        assert estimate_fidelity(c, noise, shots=sim.SHOTS_CAP + 1, analytic=True).shots == sim.SHOTS_CAP + 1
+        big = estimate_fidelity(c, noise, shots=sim.SHOTS_CAP + 1, analytic=True, mitigate=True)
+        assert big.shots == sim.SHOTS_CAP + 1
+        assert big.elements == estimate_fidelity(c, noise, shots=1, seed=7, analytic=True, mitigate=True).elements
 
     @pytest.mark.parametrize("shots", [2.5, True, "8"])
     def test_shots_must_be_an_integer(self, shots):
@@ -527,13 +542,16 @@ def dense_distribution(rho, element, rates):
     return dist
 
 
-def replay_sample_elements(c, noise, events, ideal_tab, group, shots, seed, mitigate):
+def replay_sample_elements(c, noise, events, ideal_tab, group, shots, seed, mitigate, analytic):
     """The kernel's draws replayed from its docstring: one stream; the
     elements by support size k, then group order, in blocks of BLOCK // 2^k;
-    one multinomial per block of its ``frames._distributions``.
+    one multinomial per block of its ``frames._distributions``. Sampled
+    estimates only: the analytic ones draw nothing, and
+    ``TestAnalyticExact`` checks them against the density matrix.
     Each word's value is computed one word at a time: the sign times (-1)
     per read 1, raw, and times the read bits' mitigation weights, in
     ascending wire order, mitigated."""
+    assert not analytic
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     members = frames._Group(ideal_tab, events)
     rates = [noise.readout[q] for q in c.placement]
@@ -570,6 +588,9 @@ def replay_sample_elements(c, noise, events, ideal_tab, group, shots, seed, miti
 
 NOISY = dict(sq_error=0.05, cx_error=0.2, coherence_us=0.5, p01=0.05, p10=0.08)
 NOISE_MODELS = ["noiseless", "readout-only", "full", "certain"]
+REFERENCE_CIRCUITS = [(g, f) for g in ("linear:3", "linear:4", "star:4") for f in ("compiled", "naive")] + [
+    ("linear:2", "product")
+]
 
 
 def reference_circuit(name, form):
@@ -627,17 +648,13 @@ def test_estimate_golden():
 def assert_matches_replay(monkeypatch, c, noise, shots, mitigate):
     got = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
     with monkeypatch.context() as mp:
-        mp.setattr(frames, "sample_elements", replay_sample_elements)
+        mp.setattr(frames, "estimate_elements", replay_sample_elements)
         want = estimate_fidelity(c, noise, shots=shots, seed=17, mitigate=mitigate)
     assert got == want
 
 
 class TestFrameKernelReference:
-    @pytest.mark.parametrize(
-        "name, form",
-        [(g, f) for g in ("linear:3", "linear:4", "star:4") for f in ("compiled", "naive")]
-        + [("linear:2", "product")],
-    )
+    @pytest.mark.parametrize("name, form", REFERENCE_CIRCUITS)
     @pytest.mark.parametrize("model", NOISE_MODELS)
     def test_bit_identical_to_reference(self, monkeypatch, name, form, model):
         # Every element's distribution matches the density oracle's rho to
@@ -682,6 +699,31 @@ class TestFrameKernelReference:
 
         assert any("Y" in label for label, _ in settings("linear:3", "naive"))
         assert any(free == 0 for _, free in settings("linear:2", "product"))
+
+
+class TestAnalyticExact:
+    @pytest.mark.parametrize("name, form", REFERENCE_CIRCUITS)
+    @pytest.mark.parametrize("model", NOISE_MODELS)
+    def test_matches_density_matrix(self, name, form, model):
+        # The analytic estimate is exact under the full noise model: each
+        # element's raw and mitigated values are the means of what a shot is
+        # worth over its support-word distribution on the density oracle's
+        # rho, with stderr 0, and the mitigated fidelity is the oracle's.
+        c = reference_circuit(name, form)
+        noise = reference_noise(c, model)
+        rho = frames._density_matrix(c, sim._event_stream(c, noise))
+        rates = [noise.readout[q] for q in c.placement]
+        weights = [_mitigation_weights(*rate) for rate in rates]
+        est = estimate_fidelity(c, noise, analytic=True, mitigate=True)
+        for el, got in zip(stabilizer_group(c.graph), est.elements):
+            dist = dense_distribution(rho, el, rates)
+            wires = support_wires(el)
+            raw = sum(pw * (-1) ** bin(w).count("1") for w, pw in enumerate(dist))
+            mit = sum(pw * math.prod(weights[v][w >> j & 1] for j, v in enumerate(wires)) for w, pw in enumerate(dist))
+            assert abs(got.raw - el.sign * raw) <= 1e-12, el.label
+            assert abs(got.mitigated - el.sign * mit) <= 1e-12, el.label
+            assert got.stderr_raw == got.stderr_mitigated == 0.0
+        assert abs(est.fidelity_mitigated - density_oracle(c, noise)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +788,7 @@ class TestClosedFormOutcomes:
 
 
 # ---------------------------------------------------------------------------
-# Analytic z-moments against the rotated tableau
+# Restricted z-moments against the rotated tableau
 
 
 @st.composite
@@ -760,8 +802,10 @@ class TestRestrictedZMoments:
     @settings(max_examples=60, deadline=None)
     def test_matches_rotated_tableau(self, state, seed):
         # <Z_M> after a Pauli's basis change is the Pauli restricted to M on
-        # the unrotated state. Every Pauli P, with a random sign that neither
-        # side may read, and every M within its support.
+        # the unrotated state, ``frames._distributions``' z-moment rule:
+        # ``_member`` of the restricted masks on the unrotated canonical rows.
+        # Every Pauli P, with a random sign that neither side may read, and
+        # every M within its support.
         n, ops = state
         tab = tableau_of(n, ops)
         canon = _canonical(tab)
@@ -772,8 +816,7 @@ class TestRestrictedZMoments:
                 rotated = _canonical(_rotated_tableau(tab, p))
                 m = p.support()
                 while True:  # every submask of the support, down to 0
-                    sign = _member(rotated, 0, m)
-                    assert _z_moment(canon, p, m) == (0.0 if sign is None else float(sign)), (p.label, m)
+                    assert _member(canon, p.x_mask & m, p.z_mask & m) == _member(rotated, 0, m), (p.label, m)
                     if m == 0:
                         break
                     m = (m - 1) & p.support()
