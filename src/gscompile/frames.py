@@ -192,7 +192,8 @@ def estimate_elements(
     with its (elements, 2^k) distributions P (``_distributions``). A shot
     read as word w is worth the element's sign times the parity of w, raw,
     and times the product of the read bits' ``_mitigation_weights``,
-    mitigated. Analytic, an element's values are their exact means over P,
+    mitigated: the raw table depends only on k, the mitigated one on the
+    wires too. Analytic, an element's values are their exact means over P,
     with stderr 0, and nothing is drawn. Sampled, one stream seeded with the
     seed makes one kind of draw, ``multinomial(shots, P)`` per block, one
     histogram of support words per element, whose means and standard errors
@@ -207,13 +208,14 @@ def estimate_elements(
     signs = np.array([float(el.sign) for el in group])
     stats = np.zeros((4, len(group)))  # raw, its stderr, mitigated, its stderr
     stats[0] = stats[2] = signs  # the identity's values
-    # A read bit b on vertex v weighs values[v, b]: the parity, raw, and the
-    # mitigation weight, mitigated; a shot weighs the product over its bits.
-    tables = [(0, np.tile([1.0, -1.0], (n, 1)))]
+    # Mitigated, a read bit b on vertex v weighs weights[v, b], and a shot
+    # the product over its bits.
     if mitigate:  # a confusion that cannot be inverted raises, naming the lowest vertex's qubit
-        tables.append((2, np.array([_mitigation_weights(*rate) for rate in rates])))
+        weights = np.array([_mitigation_weights(*rate) for rate in rates])
     rng = None if analytic else np.random.default_rng(np.random.SeedSequence(seed))
+    parity = np.ones(1)
     for k in range(1, n + 1):
+        parity = np.concatenate((parity, -parity))  # (-1)^popcount(w) over the 2^k support words
         todo = np.flatnonzero(sizes == k)
         per = BLOCK >> k
         for start in range(0, todo.size, per):
@@ -222,8 +224,10 @@ def estimate_elements(
             cells = _distributions(members, x[ks], z[ks], wires, readout)
             if rng is not None:
                 cells = rng.multinomial(shots, cells)  # the histogram, in place of P
-            for row, values in tables:
-                vals = signs[ks, None] * _kron(values[wires, :, None])[..., 0]
+            tables = [(0, signs[ks, None] * parity)]
+            if mitigate:
+                tables.append((2, signs[ks, None] * _kron(weights[wires, :, None])[..., 0]))
+            for row, vals in tables:
                 if rng is None:
                     stats[row, ks] = (cells * vals).sum(axis=1)
                 else:

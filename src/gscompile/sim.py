@@ -316,14 +316,15 @@ class ElementEstimate:
 @dataclass(frozen=True)
 class NoisyEstimate:
     """Stabilizer-measurement fidelity, sampled or exact (``analytic``): raw
-    and (optionally) readout-mitigated."""
+    and (optionally) readout-mitigated. ``shots`` and ``seed`` are None when
+    analytic, since nothing was drawn."""
 
     fidelity_raw: float
     fidelity_mitigated: Optional[float]
     stderr_raw: float
     stderr_mitigated: Optional[float]
-    shots: int
-    seed: int
+    shots: Optional[int]
+    seed: Optional[int]
     analytic: bool
     elements: Tuple[ElementEstimate, ...]
 
@@ -376,8 +377,8 @@ def estimate_fidelity(
         fidelity_mitigated=mit,
         stderr_raw=err_raw,
         stderr_mitigated=err_mit,
-        shots=shots,
-        seed=seed,
+        shots=None if analytic else shots,
+        seed=None if analytic else seed,
         analytic=analytic,
         elements=tuple(elements),
     )

@@ -20,13 +20,28 @@ on its wire: it runs itself at the wire's next control use, at a target use
 that cannot cancel, or at the end; a target use that cancels it makes the
 CNOT's POST the wire's pending Hadamard, and the argument repeats. Gates on
 one wire do not overlap, so that Hadamard adds its duration to the CNOTs
-still owed there. A transposition table, consulted only at inner nodes the
-bound keeps, skips expanded states, keyed on the unplaced edges, the edges
-allowed next (fixed by those and the last edge), per-wire ready time, pending
-bit and cancellation state, the cancel count, and the ends of placed CNOTs
-with unplaced crosstalk partners. `cancellation`'s key leaves out the ready
-times and the ends: under that objective nothing reads time, and whether a
-step cancels depends only on the pending bits and states.
+still owed there. Edge-start term: an unplaced CNOT starts no earlier than
+the ready times of its two wires and the end of each placed crosstalk
+partner, since ready times only grow and placed ends are fixed. So no
+unplaced CNOT on wire q starts before first[q], the least such start over
+q's unplaced edges, and those CNOTs run one after another on q, each for at
+least its shorter duration: q ends no earlier than first[q] plus its owed
+CNOT time. The timed bound is the larger of the wire bound and the maximum
+of that, less the deadline, over the wires some unplaced edge touches. The
+term is taken only at inner nodes the wire bound keeps, and only under
+`decoherence` or with crosstalk pairs, where a wire waits for a busier
+neighbour or a partner's end; on crosstalk-allowed `runtime` and
+`smt-runtime` it cut a quarter of the children but cost as much time as
+it saved, or more. It reads only what the state key holds (ready times, the
+unplaced edges and the ends owed to crosstalk partners), so the bound stays
+a function of the state (First leaf, below), and it is absent at a leaf. A
+transposition table, consulted only at inner nodes the bound keeps, skips
+expanded states, keyed on the unplaced edges, the edges allowed next (fixed
+by those and the last edge), per-wire ready time, pending bit and
+cancellation state, the cancel count, and the ends of placed CNOTs with
+unplaced crosstalk partners. `cancellation`'s key leaves out the ready times
+and the ends: under that objective nothing reads time, and whether a step
+cancels depends only on the pending bits and states.
 
 First leaf: the result is the first optimal leaf in mask-ascending,
 lexicographic order, the brute-force oracle's tie-break. The search carries
@@ -92,13 +107,14 @@ has its own such wire, whose next targeting CNOT is a CNOT of its own that
 cancels nothing. No leaf below therefore cancels more than canceled +
 2 * (unplaced - matching) Hadamards, for matching a greedy maximal matching
 in edge order (a function of the state: the pending bits and the unplaced
-edges are in its key). No leaf ends before the wire bound; the weight is not
-negative, so -weight * (canceled + 2 * (unplaced - matching)), plus the wire
-bound when timed, is at most every key below. It is exact at a leaf: with
-nothing unplaced every load is 0 and every pending Hadamard is owed, and the
-cancellation term is -weight * canceled, so the bound equals the key. The
-key is never reported: solve_exact replays the leaf and reads the value off
-the assignment with objective_value_of, as it does for an external solver's
+edges are in its key). No leaf ends before the timed bound; the weight is
+not negative, so -weight * (canceled + 2 * (unplaced - matching)), plus the
+timed bound when timed, is at most every key below. It is exact at a leaf:
+with nothing unplaced every load is 0, every pending Hadamard is owed and
+the edge-start term is absent, and the cancellation term is
+-weight * canceled, so the bound equals the key. The key is never
+reported: solve_exact replays the leaf and reads the value off the
+assignment with objective_value_of, as it does for an external solver's
 model.
 
 Time is integral: for `decoherence` the search scales coherences by the LCM
@@ -310,8 +326,12 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
     pending_bits = [(4 << shift[a]) | (4 << shift[b]) for a, b in wires_of]
     field_mask = (1 << fw) - 1
     clear = [((1 << top) - 1) ^ (field_mask << shift[a]) ^ (field_mask << shift[b]) for a, b in wires_of]
-    xt_edges = [i for i in range(mc) if leaf.partners[i]] if timed else []
-    partner_mask = [sum(1 << j for j in leaf.partners[i]) for i in range(mc)]
+    partners = leaf.partners
+    xt_edges = [i for i in range(mc) if partners[i]] if timed else []
+    partner_mask = [sum(1 << j for j in partners[i]) for i in range(mc)]
+    # The edge-start term (module docstring) prunes enough to pay for itself
+    # only under a coherence deadline or with crosstalk ends to wait for.
+    edge_start = timed and (decoherence or bool(xt_edges))
     seen: Dict[int, int] = {}  # state -> least placed mask that expanded it
     placed: List[int] = []
     # The incumbent's folded key (module docstring), above every leaf's.
@@ -328,7 +348,7 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
 
     def dfs(unplaced: int, allowed: int, wires_key: int, mask: int) -> None:
         nonlocal best, best_perm
-        lb = max(map(add, leaf.ready, owed)) if timed else 0
+        wire = lb = max(map(add, leaf.ready, owed)) if timed else 0
         if weight:
             # A greedy matching among unplaced edges with no pending
             # Hadamard on either wire counts CNOTs that cancel nothing.
@@ -345,6 +365,24 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
         if not unplaced:
             best, best_perm = lb, tuple(placed)
             return
+        if edge_start:
+            # first[q]: the earliest any unplaced CNOT on q can start; every
+            # start is at most horizon, so horizon + 1 marks a wire with none.
+            first = [horizon + 1] * nq
+            for i in bits[unplaced]:
+                a, b = wires_of[i]
+                start = ready[a] if ready[a] > ready[b] else ready[b]
+                for j in partners[i]:
+                    end_j = cnot_end[j]
+                    if end_j is not None and end_j > start:
+                        start = end_j
+                if start < first[a]:
+                    first[a] = start
+                if start < first[b]:
+                    first[b] = start
+            term = max([f + l - dl for f, l, dl in zip(first, load, deadline) if f <= horizon])
+            if term > wire and lb + ((term - wire) << mc) >= best:
+                return
         state = wires_key | (((leaf.canceled << mc) | unplaced) << mc) | allowed
         # Ends still owed to crosstalk partners; unplaced fixes which.
         pos = top

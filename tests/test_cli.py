@@ -237,7 +237,9 @@ class TestOtherCommands:
             capsys,
         )
         assert code == 0
-        assert abs(json.loads(stdout)["fidelity_mitigated"] - 1.0) <= 1e-6
+        data = json.loads(stdout)
+        assert abs(data["fidelity_mitigated"] - 1.0) <= 1e-6
+        assert data["shots"] is None and data["seed"] is None  # nothing was drawn
 
     @pytest.mark.parametrize("noise_cal, named", [
         (line_calibration(2), "placement[2]: qubit 2"),

@@ -187,8 +187,10 @@ def test_analytic_golden():
             assert abs(est.fidelity_mitigated - density_oracle(c, noise)) <= 1e-12
         h.update(repr(est).encode())
     # Mitigated 0.29781, 0.22940 and 0.18118; raw 0.21614, 0.15193 and
-    # 0.10947.
-    assert h.hexdigest() == "21ea0961eda177996b1f31929bb218b6eea67650493f9c4e527a910dfb11caf0"
+    # 0.10947. The repr holds shots and seed, None since an analytic
+    # estimate draws nothing; with them 4096 and 0 the digest was
+    # 21ea0961eda177996b1f31929bb218b6eea67650493f9c4e527a910dfb11caf0.
+    assert h.hexdigest() == "52f4cdf47c06bbbb47dfcfe87ff0886016f66114b45f84db5989f7f72abd7554"
 
 
 class TestNoiseModel:
@@ -295,7 +297,8 @@ class TestEstimateFidelity:
 
     def test_shots_cap(self, monkeypatch):
         # Refused before any sampling. The analytic estimate draws no shots:
-        # their number and the seed change none of its values.
+        # their number and the seed change none of its values, and it
+        # reports neither.
         c = compiled(linear_graph(3), line_calibration(3))
         noise = NoiseModel.from_calibration(line_calibration(3))
         with monkeypatch.context() as mp:
@@ -304,7 +307,7 @@ class TestEstimateFidelity:
                 estimate_fidelity(c, noise, shots=sim.SHOTS_CAP + 1)
         assert sim.SHOTS_CAP == 1 << 24
         big = estimate_fidelity(c, noise, shots=sim.SHOTS_CAP + 1, analytic=True, mitigate=True)
-        assert big.shots == sim.SHOTS_CAP + 1
+        assert big.shots is None and big.seed is None
         assert big.elements == estimate_fidelity(c, noise, shots=1, seed=7, analytic=True, mitigate=True).elements
 
     @pytest.mark.parametrize("shots", [2.5, True, "8"])

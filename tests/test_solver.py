@@ -141,6 +141,24 @@ class TestOracleAgreement:
                     assert s.objective_value == sweep[kind][0], where
                     assert check_solution(m, s) == [], where
 
+    def test_crosstalk_free_matches_oracle_sweep(self):
+        # With crosstalk exclusion, where a CNOT waits for its placed
+        # partners' ends, the exact search's edge-start term prunes on every
+        # timed objective: each optimum matches the brute-force sweep, on
+        # random and on straddling calibrations.
+        # Three draws on each graph of 3 to 5 CNOTs, one on a 6-CNOT tree,
+        # whose sweep takes about a second.
+        graphs = 3 * [linear_graph(4), star_graph(5), ring_graph(5), linear_graph(6), star_graph(6)]
+        graphs.append(graph_from_edges(7, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)]))
+        for calibration, rng in ((random_calibration, random.Random(17)), (straddling_calibration, random.Random(71))):
+            for trial, g in enumerate(graphs):
+                cal = calibration(g, rng)
+                e = identity_embedding(g)
+                sweep = oracle_sweep(build_model(g, e, cal, Objective(ObjectiveKind.MIN_MAKESPAN, True)))
+                for kind in ObjectiveKind:
+                    s = solve_exact(build_model(g, e, cal, Objective(kind, True)))
+                    assert s.objective_value == sweep[kind][0], (calibration.__name__, trial, kind)
+
     def test_returns_oracle_witness(self):
         # Ties go to the first optimal leaf in mask-ascending, lexicographic
         # edge-order enumeration, as in the oracle: the whole assignment
@@ -341,8 +359,11 @@ def test_search_work_pinned(monkeypatch):
     # The children the exact search enters on the bundled device, one
     # _Leaf.place call each (the seed's list schedule, up to three calls per
     # edge, included): a change that prunes less fails here in the open.
-    # The runtime and decoherence rows pin the timed wire bound. Before each
-    # pending wire owed one Hadamard and the incumbent was seeded, these were
+    # The runtime row pins the timed wire bound; the decoherence rows pin
+    # the edge-start term too, the crosstalk-free one with the ends owed to
+    # crosstalk partners (179,489 without the term). Before the term the
+    # crosstalk-allowed decoherence row was 40,619. Before each pending wire
+    # owed one Hadamard and the incumbent was seeded, the first four were
     # 9,584 (smt-runtime), 2,820 (cancellation), 19,264 (runtime) and 62,420
     # (decoherence); before the pending-aware cancellation bound and the
     # untimed cancellation key, the first two were 13,072 and 4,118.
@@ -357,22 +378,24 @@ def test_search_work_pinned(monkeypatch):
 
     monkeypatch.setattr(solver._Leaf, "place", counting_place)
     counts = {}
-    for name, kind in (
-        ("linear:10", ObjectiveKind.SMT_RUNTIME),
-        ("linear:11", ObjectiveKind.MAX_CANCELLATION),
-        ("linear:10", ObjectiveKind.MIN_MAKESPAN),
-        ("linear:10", ObjectiveKind.MAX_REMAINING_COHERENCE),
+    for name, kind, crosstalk_free in (
+        ("linear:10", ObjectiveKind.SMT_RUNTIME, False),
+        ("linear:11", ObjectiveKind.MAX_CANCELLATION, False),
+        ("linear:10", ObjectiveKind.MIN_MAKESPAN, False),
+        ("linear:10", ObjectiveKind.MAX_REMAINING_COHERENCE, False),
+        ("linear:10", ObjectiveKind.MAX_REMAINING_COHERENCE, True),
     ):
         g = builtin_graph(name)
-        m = build_model(g, best_placement(g, cal), cal, Objective(kind))
+        m = build_model(g, best_placement(g, cal), cal, Objective(kind, crosstalk_free))
         calls = 0
         solver._search(m)
-        counts[name, kind.value] = calls
+        counts[name, kind.value, crosstalk_free] = calls
     assert counts == {
-        ("linear:10", "smt-runtime"): 6801,
-        ("linear:11", "cancellation"): 2690,
-        ("linear:10", "runtime"): 11649,
-        ("linear:10", "decoherence"): 40619,
+        ("linear:10", "smt-runtime", False): 6801,
+        ("linear:11", "cancellation", False): 2690,
+        ("linear:10", "runtime", False): 11649,
+        ("linear:10", "decoherence", False): 21283,
+        ("linear:10", "decoherence", True): 3045,
     }
 
 
