@@ -20,7 +20,16 @@ on its wire: it runs itself at the wire's next control use, at a target use
 that cannot cancel, or at the end; a target use that cancels it makes the
 CNOT's POST the wire's pending Hadamard, and the argument repeats. Gates on
 one wire do not overlap, so that Hadamard adds its duration to the CNOTs
-still owed there. Edge-start term: an unplaced CNOT starts no earlier than
+still owed there. The wire bound, the maximum over wires of that path less
+the wire's deadline, is carried down the search, not rebuilt: a step
+changes only its CNOT's two wires, and neither wire's path falls. On the
+control, the CNOT ends no earlier than the old ready time, plus the pending
+Hadamard if one ran, plus the edge's shorter duration, which leaves what
+the wire owes. On the target likewise, and the CNOT's POST, now pending,
+stands in for the pending Hadamard that was canceled or ran. So a child's
+wire bound is the larger of its parent's and its two wires' paths, the same
+integer as the maximum over all wires, which only the root and the seed's
+leaf take in full. Edge-start term: an unplaced CNOT starts no earlier than
 the ready times of its two wires and the end of each placed crosstalk
 partner, since ready times only grow and placed ends are fixed. So no
 unplaced CNOT on wire q starts before first[q], the least such start over
@@ -32,16 +41,21 @@ term is taken only at inner nodes the wire bound keeps, and only under
 `decoherence` or with crosstalk pairs, where a wire waits for a busier
 neighbour or a partner's end; on crosstalk-allowed `runtime` and
 `smt-runtime` it cut a quarter of the children but cost as much time as
-it saved, or more. It reads only what the state key holds (ready times, the
-unplaced edges and the ends owed to crosstalk partners), so the bound stays
-a function of the state (First leaf, below), and it is absent at a leaf. A
-transposition table, consulted only at inner nodes the bound keeps, skips
-expanded states, keyed on the unplaced edges, the edges allowed next (fixed
-by those and the last edge), per-wire ready time, pending bit and
-cancellation state, the cancel count, and the ends of placed CNOTs with
-unplaced crosstalk partners. `cancellation`'s key leaves out the ready times
-and the ends: under that objective nothing reads time, and whether a step
-cancels depends only on the pending bits and states.
+it saved, or more. It is absent at a leaf.
+Table: `cancellation`'s search alone keeps a transposition table, consulted
+only at inner nodes the bound keeps. It skips expanded states, keyed on the
+unplaced edges, the edges allowed next (fixed by those and the last edge),
+per-wire pending bit and cancellation state, and the cancel count: under
+that objective nothing reads time, and whether a step cancels depends only
+on the pending bits and states. On the bundled device it skips 25 of 799
+states on `linear:11` and 1,254 of 4,707 on crosstalk-free `linear:12`,
+which cuts the children from 3,100 to 2,690 and from 33,361 to 17,597. A
+timed state would also need every wire's ready time and the ends owed to
+crosstalk partners, and so keyed states almost never repeat: of the ten
+timed solves of perfbench's seed-1 `compile` slots, nine skipped none and
+the tenth 144 of 2,438. Such a table cost a key and an entry per kept node,
+and on crosstalk-free `linear:13` `decoherence` most of the memory, so the
+timed searches keep none.
 
 First leaf: the result is the first optimal leaf in mask-ascending,
 lexicographic order, the brute-force oracle's tie-break. The search carries
@@ -73,10 +87,11 @@ and mask.
 Within one mask the search meets leaves in lexicographic edge order: edges
 are tried ascending and the mask fixes every direction, so two leaves of one
 mask part where their orders first differ, and the smaller edge there comes
-first. The table maps each state to the least placed mask that expanded it.
-A pruned state needs no entry: the bound is a function of the state and the
-incumbent only falls, so met again under a mask no smaller the state is
-pruned again, and under a smaller mask the table would re-expand it anyway.
+first. The table (`cancellation` only) maps each state to the least placed
+mask that expanded it. A pruned state needs no entry: the bound is a
+function of the state and the incumbent only falls, so met again under a
+mask no smaller the state is pruned again, and under a smaller mask the
+table would re-expand it anyway.
 A state that comes back under a mask no smaller is skipped: the same placed
 edges under equal bits differ first in an edge index, where the earlier path
 had the smaller one, so each leaf below is matched by one covered before
@@ -89,12 +104,12 @@ One key: every objective is this one search, over the integer key
 -weight * canceled + (max over wires of (end - deadline) when timed, else 0),
 smaller is better. `cancellation` has weight 1 and no time term; `runtime`
 (deadline 0) and `decoherence` (deadline the wire's coherence) have weight 0;
-`smt-runtime` has deadline 0 and weight 1 << field_bits. Every gate starts
-at 0 or at the end of an earlier one, so every makespan lies in [0, horizon],
-the length of a fully serial schedule; deadlines and weights are not
-negative, so every key is at most horizon. Packing: horizon <
-1 << field_bits, so two makespans differ by less than the weight. A leaf
-with more cancellations therefore has the smaller key whatever the two
+`smt-runtime` has deadline 0 and weight 1 << horizon.bit_length(). Every
+gate starts at 0 or at the end of an earlier one, so every makespan lies in
+[0, horizon], the length of a fully serial schedule; deadlines and weights
+are not negative, so every key is at most horizon. Packing: horizon is
+below `smt-runtime`'s weight, so two makespans differ by less than it. A
+leaf with more cancellations therefore has the smaller key whatever the two
 makespans, and between equal counts the makespan decides: ordering by key
 is ordering by (most cancellations, then shortest makespan). Bound: each
 CNOT cancels at most one pair, on its target, so no leaf below a node
@@ -125,7 +140,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CapExceededError
@@ -299,9 +313,8 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
         bits += [edges + (k,) for edges in bits]
     horizon = sum(max(d[2] for d in opts) for opts in dirs)
     horizon += (m.graph.n + 2 * mc) * max(sq, default=0)
-    fb = horizon.bit_length() + 3
     low_bits = (2 * mc + m.graph.n).bit_length() + 2 * mc
-    weight = {ObjectiveKind.MAX_CANCELLATION: 1, ObjectiveKind.SMT_RUNTIME: 1 << fb}.get(kind, 0)
+    weight = {ObjectiveKind.MAX_CANCELLATION: 1, ObjectiveKind.SMT_RUNTIME: 1 << horizon.bit_length()}.get(kind, 0)
     options = [(0, 1) if opts[0][2] <= opts[1][2] else (1, 0) for opts in dirs]
     # Per edge: its wires and its shorter duration.
     wires_of = [opts[0][:2] for opts in dirs]
@@ -315,40 +328,33 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
         for _, t, dur in dirs[i]:
             if dur >= sq[t]:
                 witnesses[t] |= 1 << i
-    # Key field per wire: ready << 3 | pending bit << 2 | state, in fb bits
-    # wide enough for a fully serial schedule; untimed, the ready time and
-    # the crosstalk ends are left out, as nothing reads them.
-    fw = fb if timed else 3
-    shift = [fw * q + low_bits for q in range(nq)]
-    top = fw * nq + low_bits
-    # Per edge: the pending bits of its two wires, and the key with both
-    # wires' fields cleared.
+    # Key field per wire: pending bit << 2 | state.
+    shift = [3 * q + low_bits for q in range(nq)]
+    # Per edge: the pending bits of its two wires, and a mask clearing both
+    # wires' fields.
     pending_bits = [(4 << shift[a]) | (4 << shift[b]) for a, b in wires_of]
-    field_mask = (1 << fw) - 1
-    clear = [((1 << top) - 1) ^ (field_mask << shift[a]) ^ (field_mask << shift[b]) for a, b in wires_of]
+    clear = [~((7 << shift[a]) | (7 << shift[b])) for a, b in wires_of]
     partners = leaf.partners
-    xt_edges = [i for i in range(mc) if partners[i]] if timed else []
-    partner_mask = [sum(1 << j for j in partners[i]) for i in range(mc)]
     # The edge-start term (module docstring) prunes enough to pay for itself
     # only under a coherence deadline or with crosstalk ends to wait for.
-    edge_start = timed and (decoherence or bool(xt_edges))
-    seen: Dict[int, int] = {}  # state -> least placed mask that expanded it
+    edge_start = timed and (decoherence or bool(m.crosstalk_pairs))
+    seen: Dict[int, int] = {}  # untimed state -> least placed mask that expanded it
     placed: List[int] = []
     # The incumbent's folded key (module docstring), above every leaf's.
     best = (horizon + 1) << mc
     best_perm: Optional[Tuple[int, ...]] = None
 
-    def owing(loads: List[int]) -> List[int]:
-        # Per wire: its least remaining time, loads[q] of unplaced CNOTs and
-        # one Hadamard while one is pending (module docstring), less its
-        # deadline. dfs keeps it as owed, current for every wire whenever
-        # dfs is entered (each step sets its edge's two wires and restores
-        # them after), as the bound at a leaf needs.
-        return [l - dl + (s if p is not None else 0) for l, dl, s, p in zip(loads, deadline, sq, leaf.pending)]
+    def wire_bound(loads: List[int]) -> int:
+        # The wire bound in full (module docstring): the largest over wires
+        # of its ready time, loads[q] of unplaced CNOTs and one Hadamard
+        # while one is pending, less its deadline.
+        if not timed:
+            return 0
+        return max(r + l - dl + (s if p is not None else 0) for r, l, dl, s, p in zip(leaf.ready, loads, deadline, sq, leaf.pending))
 
-    def dfs(unplaced: int, allowed: int, wires_key: int, mask: int) -> None:
+    def dfs(unplaced: int, allowed: int, wires_key: int, mask: int, wire: int) -> None:
         nonlocal best, best_perm
-        wire = lb = max(map(add, leaf.ready, owed)) if timed else 0
+        lb = wire
         if weight:
             # A greedy matching among unplaced edges with no pending
             # Hadamard on either wire counts CNOTs that cancel nothing.
@@ -383,23 +389,17 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
             term = max([f + l - dl for f, l, dl in zip(first, load, deadline) if f <= horizon])
             if term > wire and lb + ((term - wire) << mc) >= best:
                 return
-        state = wires_key | (((leaf.canceled << mc) | unplaced) << mc) | allowed
-        # Ends still owed to crosstalk partners; unplaced fixes which.
-        pos = top
-        for i in xt_edges:
-            if cnot_end[i] is not None and partner_mask[i] & unplaced:
-                state |= cnot_end[i] << pos
-                pos += fb
-        if seen.get(state, mask + 1) <= mask:
-            return  # expanded before under a mask no larger
-        seen[state] = mask
+        if not timed:
+            state = wires_key | (((leaf.canceled << mc) | unplaced) << mc) | allowed
+            if seen.get(state, mask + 1) <= mask:
+                return  # expanded before under a mask no larger
+            seen[state] = mask
         for i in bits[allowed]:
             rest = unplaced & ~(1 << i)
             a, b = wires_of[i]
             el = edge_load[i]
             load[a] -= el
             load[b] -= el
-            owed_a, owed_b = owed[a], owed[b]
             base = wires_key & clear[i]
             placed.append(i)
             for d in options[i]:
@@ -420,34 +420,39 @@ def _search(m: SchedModel) -> Tuple[int, Tuple[int, ...]]:
                     ):
                         continue  # no unplaced edge can witness the assumption
                     undo = leaf.place(i, d)
-                    # Both wires now end with the CNOT; c has no pending
-                    # Hadamard and t has its POST.
-                    end = ready[t] << 3 if timed else 0
-                    owed[c] = load[c] - deadline[c]
-                    owed[t] = load[t] - deadline[t] + sq[t]
-                    key = base | (end | can[c]) << shift[c] | (end | 4 | state_t) << shift[t]
-                    dfs(rest, rest & after[i], key, mask | d << i)
+                    child = wire
+                    if timed:
+                        # Both wires now end with the CNOT; c has no pending
+                        # Hadamard and t has its POST. Neither path fell, so
+                        # the child's wire bound is the larger of the
+                        # parent's and these two (module docstring).
+                        owe_c, owe_t = load[c] - deadline[c], load[t] - deadline[t] + sq[t]
+                        path = ready[t] + (owe_c if owe_c > owe_t else owe_t)
+                        if path > child:
+                            child = path
+                    # Only the matching and the table read the key, and
+                    # only weighted searches run either.
+                    key = base | can[c] << shift[c] | (4 | state_t) << shift[t] if weight else 0
+                    dfs(rest, rest & after[i], key, mask | d << i, child)
                     leaf.unplace(i, undo)
                 can[t] = prev
             placed.pop()
             load[a] += el
             load[b] += el
-            owed[a], owed[b] = owed_a, owed_b
 
     # The seed's leaf, still placed, is scored by dfs like any leaf; the
     # incumbent starts one above its folded key (module docstring).
     seed = _seed(leaf)
     if seed is not None:
-        owed = owing([0] * nq)
-        dfs(0, 0, 0, seed[0])
+        dfs(0, 0, 0, seed[0], wire_bound([0] * nq))
         best, best_perm = best + 1, None
     # The search's own empty schedule, whose lists dfs's steps read.
     leaf.start([UNDECIDED] * nq)
     ready, pending, can, cnot_end = leaf.ready, leaf.pending, leaf.can, leaf.cnot_end
-    owed = owing(load)
-    dfs((1 << mc) - 1, after[mc], sum((pending[q] is not None) << 2 << shift[q] for q in range(nq)), 0)
-    # dfs holds itself through its closure; unbinding it frees the table on
-    # return instead of at the next full garbage collection.
+    dfs((1 << mc) - 1, after[mc], sum((pending[q] is not None) << 2 << shift[q] for q in range(nq)), 0, wire_bound(load))
+    # dfs holds itself through its closure; unbinding it frees what the
+    # closure holds, `cancellation`'s table among it, on return instead of at
+    # the next full garbage collection.
     del dfs
     assert best_perm is not None, "every preset is above some leaf's folded key"
     return best & ((1 << mc) - 1), best_perm

@@ -206,10 +206,9 @@ class TestOracleAgreement:
                     assert s.vars == o.vars, where
 
     def test_witness_behind_a_repeated_state(self):
-        # The search reaches one partial state first under a larger placed
-        # mask and later under a smaller one; only the second path leads to
-        # the first optimal leaf, so a state seen before must be expanded
-        # again when it comes back under a smaller mask.
+        # The search reaches one partial schedule first under a larger placed
+        # mask and later under a smaller one, and only the second path leads
+        # to the first optimal leaf.
         durations = {(0, 1): (135, 200), (1, 2): (100, 135), (2, 3): (135, 100), (3, 4): (100, 135), (4, 5): (135, 200)}
         g = linear_graph(6)
         cal = graph_calibration(g, sq=lambda i: (100, 35, 35, 35, 35, 35)[i], cnot=lambda a, b: durations[(a, b)])
@@ -217,6 +216,21 @@ class TestOracleAgreement:
         s = solve_exact(m)
         assert s.objective_value == 340
         assert s.vars.C == {0: True, 1: False, 2: False, 3: False, 4: True}
+        assert s.vars == oracle_search(m).vars
+
+    def test_table_expands_a_state_again_under_a_smaller_mask(self):
+        # Under cancellation, the one objective whose search keeps a
+        # transposition table, six states come back under a smaller placed
+        # mask than the one that first expanded them, and the first optimal
+        # leaf lies below one of them: a table that skipped every state
+        # seen before (a plain set) returns a later leaf of the same mask.
+        durations = {(0, 1): (200, 50), (0, 2): (120, 120), (1, 2): (50, 120), (1, 5): (50, 200), (2, 3): (50, 200), (3, 4): (50, 50)}
+        g = graph_from_edges(6, list(durations))
+        cal = graph_calibration(g, sq=100, cnot=lambda a, b: durations[(a, b)])
+        m = build(g, cal, ObjectiveKind.MAX_CANCELLATION)
+        assert solver._search(m) == (0, (3, 4, 1, 2, 0, 5))
+        s = solve_exact(m)
+        assert s.objective_value == 10
         assert s.vars == oracle_search(m).vars
 
     def test_decoherence_with_sub_ns_coherence(self):
@@ -361,12 +375,17 @@ def test_search_work_pinned(monkeypatch):
     # edge, included): a change that prunes less fails here in the open.
     # The runtime row pins the timed wire bound; the decoherence rows pin
     # the edge-start term too, the crosstalk-free one with the ends owed to
-    # crosstalk partners (179,489 without the term). Before the term the
-    # crosstalk-allowed decoherence row was 40,619. Before each pending wire
-    # owed one Hadamard and the incumbent was seeded, the first four were
-    # 9,584 (smt-runtime), 2,820 (cancellation), 19,264 (runtime) and 62,420
-    # (decoherence); before the pending-aware cancellation bound and the
-    # untimed cancellation key, the first two were 13,072 and 4,118.
+    # crosstalk partners (179,489 without the term). The cancellation rows
+    # pin the transposition table, which only the untimed search keeps: the
+    # crosstalk-free one was 8,086 with no table. History: the runtime row
+    # was 11,649 while timed searches kept a table too, keyed on ready times
+    # and crosstalk ends, which skipped the few states that came back there.
+    # Before the edge-start term the crosstalk-allowed decoherence row was
+    # 40,619. Before each pending wire owed one Hadamard and the incumbent
+    # was seeded, the smt-runtime, crosstalk-allowed cancellation, runtime
+    # and crosstalk-allowed decoherence rows were 9,584, 2,820, 19,264 and
+    # 62,420; before the pending-aware cancellation bound and the untimed
+    # cancellation key, the first two were 13,072 and 4,118.
     cal = load_calibration(sample_calibration_path())
     calls = 0
     place = solver._Leaf.place
@@ -381,6 +400,7 @@ def test_search_work_pinned(monkeypatch):
     for name, kind, crosstalk_free in (
         ("linear:10", ObjectiveKind.SMT_RUNTIME, False),
         ("linear:11", ObjectiveKind.MAX_CANCELLATION, False),
+        ("linear:11", ObjectiveKind.MAX_CANCELLATION, True),
         ("linear:10", ObjectiveKind.MIN_MAKESPAN, False),
         ("linear:10", ObjectiveKind.MAX_REMAINING_COHERENCE, False),
         ("linear:10", ObjectiveKind.MAX_REMAINING_COHERENCE, True),
@@ -393,7 +413,8 @@ def test_search_work_pinned(monkeypatch):
     assert counts == {
         ("linear:10", "smt-runtime", False): 6801,
         ("linear:11", "cancellation", False): 2690,
-        ("linear:10", "runtime", False): 11649,
+        ("linear:11", "cancellation", True): 4580,
+        ("linear:10", "runtime", False): 11701,
         ("linear:10", "decoherence", False): 21283,
         ("linear:10", "decoherence", True): 3045,
     }
