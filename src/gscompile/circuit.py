@@ -79,34 +79,24 @@ def derive_circuit(m: SchedModel, s: Solution) -> TimedCircuit:
     guarantee.
     """
     v = s.vars
-    control, target = {}, {}
-    for i, (pa, pb, _, _) in enumerate(m.cnot_info):
-        control[i], target[i] = (pa, pb) if v.C[i] else (pb, pa)
+    wires = [resolved_wires(m, gate, v.C) for gate in m.gates]  # a CNOT's are (control, target)
 
     # Logical per-wire sequences for pair-parity validation.
     cnots_by_wire: Dict[int, List[int]] = {q: [] for q in m.mapped_qubits}
     for i in sorted(range(m.num_cnots), key=lambda i: (v.S[i], i)):
-        cnots_by_wire[control[i]].append(i)
-        cnots_by_wire[target[i]].append(i)
+        for q in wires[i]:
+            cnots_by_wire[q].append(i)
     for vertex in range(m.graph.n):
         q = m.prep_wire(vertex)
-        seq: List[Tuple[str, int]] = [("prep", m.prep_id(vertex))]
+        seq = [m.prep_id(vertex)]  # the wire's gate ids in order, canceled Hadamards included
         for i in cnots_by_wire[q]:
-            if target[i] == q:
-                seq.extend([("pre", m.pre_id(i)), ("cnot", i), ("post", m.post_id(i))])
-            else:
-                seq.append(("cnot", i))
+            seq += (m.pre_id(i), i, m.post_id(i)) if wires[i][1] == q else (i,)
         k = 0
         while k < len(seq):
-            kind, gid = seq[k]
-            if kind != "cnot" and v.B[gid]:
-                ok = (
-                    k + 1 < len(seq)
-                    and kind in ("prep", "post")
-                    and seq[k + 1][0] == "pre"
-                    and v.B[seq[k + 1][1]]
-                )
-                if not ok:
+            gid, role = seq[k], m.gates[seq[k]].role
+            if role != "edge" and v.B[gid]:
+                partner = seq[k + 1] if k + 1 < len(seq) else None
+                if role == "pre" or partner is None or m.gates[partner].role != "pre" or not v.B[partner]:
                     raise SolutionError(
                         f"canceled Hadamard {gid} on qubit {q} has no adjacent canceled partner"
                     )
@@ -118,11 +108,8 @@ def derive_circuit(m: SchedModel, s: Solution) -> TimedCircuit:
     for gate in m.gates:
         if gate.kind == "h" and v.B[gate.id]:
             continue
-        if gate.kind == "cnot":
-            kind, wires = "cx", (control[gate.id], target[gate.id])
-        else:
-            kind, wires = "h", resolved_wires(m, gate, v.C)
-        timed.append(TimedGate(kind, wires, Fraction(v.S[gate.id]), Fraction(v.T[gate.id])))
+        kind = "cx" if gate.kind == "cnot" else "h"
+        timed.append(TimedGate(kind, wires[gate.id], Fraction(v.S[gate.id]), Fraction(v.T[gate.id])))
     return _timed_circuit(timed, m.embedding.mapping, m.graph)
 
 
@@ -214,7 +201,8 @@ def circuit_from_json(data: dict) -> TimedCircuit:
     for k, g in enumerate(data["gates"]):
         if not isinstance(g, dict):
             raise ValidationError(f"circuit file: gates[{k}] must be an object, got {g!r}")
-        kind, wires = g.get("kind"), g.get("wires")
+        _require_keys(g, ("kind", "wires", "start_ns", "end_ns"), f"circuit file: gates[{k}]")
+        kind, wires = g["kind"], g["wires"]
         if kind not in ("h", "cx"):
             raise ValidationError(f"circuit file: gates[{k}].kind must be 'h' or 'cx', got {kind!r}")
         arity = 2 if kind == "cx" else 1
@@ -223,9 +211,8 @@ def circuit_from_json(data: dict) -> TimedCircuit:
             raise ValidationError(
                 f"circuit file: gates[{k}].wires {wires!r} must be {arity} distinct qubits of the placement"
             )
-        start = _time_field(g.get("start_ns"), f"gates[{k}].start_ns")
-        end = _time_field(g.get("end_ns"), f"gates[{k}].end_ns")
-        _require_keys(g, ("kind", "wires", "start_ns", "end_ns"), f"circuit file: gates[{k}]")
+        start = _time_field(g["start_ns"], f"gates[{k}].start_ns")
+        end = _time_field(g["end_ns"], f"gates[{k}].end_ns")
         if start < 0:
             raise ValidationError(f"circuit file: gates[{k}].start_ns {start} is before time 0")
         gates.append(TimedGate(kind, tuple(wires), Fraction(start), Fraction(end)))

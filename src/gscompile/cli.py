@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         + ", ".join(f"{k}={v}" for k, v in SCHEMA_VERSIONS.items())
         + ")",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (the current backends are single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="full pipeline: place, solve, derive circuit")
@@ -272,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.threads < 1:
-            raise ValidationError(f"argument --threads: must be at least 1, got {args.threads}")
         return args.func(args)
     except NotNativeError as exc:
         _err(str(exc))

@@ -8,10 +8,10 @@ nanoseconds so downstream scheduling and optimality checks stay exact.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from .errors import ValidationError
 from .graphs import _is_int, _read_json, _require_keys
@@ -34,16 +34,16 @@ class PhysicalQubit:
     sq_error: float
 
     def __post_init__(self):
+        # Faults name the field only: the loader prefixes the record's file position.
         if self.index < 0:
-            raise ValidationError(f"qubits[{self.index}].index must be non-negative")
+            raise ValidationError("index must be non-negative")
         if self.coherence_time_us <= 0:
-            raise ValidationError(f"qubits[{self.index}].coherence_time_us must be > 0")
+            raise ValidationError("coherence_time_us must be > 0")
         if self.sq_duration_ns <= 0:
-            raise ValidationError(f"qubits[{self.index}].sq_duration_ns must be > 0")
+            raise ValidationError("sq_duration_ns must be > 0")
         for name in ("readout_p01", "readout_p10", "sq_error"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"qubits[{self.index}].{name} must be in [0, 1]")
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValidationError(f"{name} must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,12 @@ class Coupler:
 
     def __post_init__(self):
         if self.a == self.b:
-            raise ValidationError(f"couplers[({self.a},{self.b})]: endpoints must differ")
-        if self.duration_ab_ns <= 0 or self.duration_ba_ns <= 0:
-            raise ValidationError(f"couplers[({self.a},{self.b})]: durations must be > 0")
+            raise ValidationError("b must differ from a")
+        for name in ("duration_ab_ns", "duration_ba_ns"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be > 0")
         if not 0.0 <= self.error <= 1.0:
-            raise ValidationError(f"couplers[({self.a},{self.b})].error must be in [0, 1]")
+            raise ValidationError("error must be in [0, 1]")
 
     @property
     def pair(self) -> Tuple[int, int]:
@@ -80,19 +81,22 @@ class DeviceCalibration:
     _by_pair: Dict[Tuple[int, int], Coupler] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_index = {q.index: q for q in self.qubits}
-        if len(by_index) != len(self.qubits):
-            raise ValidationError("qubits: duplicate index")
-        by_pair: Dict[Tuple[int, int], Coupler] = {}
-        for c in self.couplers:
-            for end in (c.a, c.b):
-                if end not in by_index:
-                    raise ValidationError(f"couplers[({c.a},{c.b})]: endpoint {end} is not a qubit")
-            if c.pair in by_pair:
-                raise ValidationError(f"couplers[({c.a},{c.b})]: duplicate coupler for pair {c.pair}")
-            by_pair[c.pair] = c
-        object.__setattr__(self, "_by_index", by_index)
-        object.__setattr__(self, "_by_pair", by_pair)
+        # Faults name records by their position in the qubits and couplers tuples.
+        qubit_at: Dict[int, int] = {}  # qubit index -> position of its first record
+        for k, q in enumerate(self.qubits):
+            j = qubit_at.setdefault(q.index, k)
+            if j != k:
+                raise ValidationError(f"qubits[{k}].index {q.index} duplicates qubits[{j}]")
+        coupler_at: Dict[Tuple[int, int], int] = {}
+        for k, c in enumerate(self.couplers):
+            for name, end in (("a", c.a), ("b", c.b)):
+                if end not in qubit_at:
+                    raise ValidationError(f"couplers[{k}].{name}: endpoint {end} is not a qubit")
+            j = coupler_at.setdefault(c.pair, k)
+            if j != k:
+                raise ValidationError(f"couplers[{k}]: duplicate coupler for pair {c.pair}, first at couplers[{j}]")
+        object.__setattr__(self, "_by_index", {q.index: q for q in self.qubits})
+        object.__setattr__(self, "_by_pair", {c.pair: c for c in self.couplers})
 
     def qubit(self, index: int) -> PhysicalQubit:
         return self._by_index[index]
@@ -105,9 +109,10 @@ class DeviceCalibration:
         return c
 
 
-def _records(data: dict, key: str, fields: Dict[str, type]) -> List[dict]:
-    """The list data[key] with each record's fields type-checked: integers
-    exactly (no bool, no float), reals as finite ints or floats."""
+def _records(data: dict, key: str, fields: Dict[str, type], record: type) -> tuple:
+    """The list data[key] as ``record`` objects, each record's fields
+    type-checked first: integers exactly (no bool, no float), reals as ints
+    or floats within float range. A fault names the record by its position in the list."""
     items = data[key]
     if not isinstance(items, list):
         raise ValidationError(f"{key} must be a list, got {type(items).__name__}")
@@ -119,16 +124,20 @@ def _records(data: dict, key: str, fields: Dict[str, type]) -> List[dict]:
             v = item[name]
             if kind is int and not _is_int(v):
                 raise ValidationError(f"{where}.{name} must be an integer, got {v!r}")
-            if kind is float and not (_is_int(v) or isinstance(v, float) and math.isfinite(v)):
+            # abs() is False against NaN; an int beyond float range would overflow float().
+            if kind is float and not ((_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max):
                 raise ValidationError(f"{where}.{name} must be a finite number, got {v!r}")
-        out.append({name: kind(item[name]) for name, kind in fields.items()})
-    return out
+        try:
+            out.append(record(**{name: kind(item[name]) for name, kind in fields.items()}))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}.{exc}") from None
+    return tuple(out)
 
 
 def calibration_from_json(data: dict) -> DeviceCalibration:
     _require_keys(data, {"snapshot_label", "qubits", "couplers"}, "calibration")
-    qubits = tuple(PhysicalQubit(**q) for q in _records(data, "qubits", _QUBIT_FIELDS))
-    couplers = tuple(Coupler(**c) for c in _records(data, "couplers", _COUPLER_FIELDS))
+    qubits = _records(data, "qubits", _QUBIT_FIELDS, PhysicalQubit)
+    couplers = _records(data, "couplers", _COUPLER_FIELDS, Coupler)
     return DeviceCalibration(str(data["snapshot_label"]), qubits, couplers)
 
 

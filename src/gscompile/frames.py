@@ -5,9 +5,10 @@ stream of ``sim._event_stream``. ``sim.estimate_fidelity`` and
 call, so numpy is loaded only when noise is simulated.
 
 Every noise event is a Pauli channel, so the estimator follows no frame
-shot by shot. One backward pass over the events gives the end-of-circuit
-image of each fault type of each noisy event. A fault flips the outcome of
-a stabilizer-group member exactly when its image anticommutes with the
+shot by shot. One backward pass over the events gives the syndrome of each
+fault type of each noisy event: the canonical rows of the prepared state
+that its end-of-circuit image anticommutes with. A fault flips the outcome
+of a stabilizer-group member exactly when its image anticommutes with the
 member, so the member's expectation on the noisy state, its character, is
 its sign times one factor per event (``_Group``). An element measured in its
 basis reads a word on its k support wires whose distribution is the inverse
@@ -31,7 +32,7 @@ import numpy as np
 
 from .circuit import TimedCircuit
 from .graphs import PauliString, group_products
-from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _mitigation_weights
+from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _mitigation_weights, _transpose
 
 # ---------------------------------------------------------------------------
 # Stabilizer-measurement estimator
@@ -39,39 +40,41 @@ from .sim import ElementEstimate, NoiseModel, Tableau, _canonical, _mitigation_w
 BLOCK = 1 << 14  # a block's distribution and histogram cells are at most this
 
 
-def _fault_images(n: int, events) -> List[Tuple[float, Tuple[int, ...]]]:
-    """(p, images) for each event with p > 0, in schedule order: images[k] is
-    the end-of-circuit frame (X bits, then Z bits: ``x | z << n``) of fault
-    type k inserted after the event's gate.
+def _fault_syndromes(canon, events) -> List[Tuple[float, Tuple[int, ...]]]:
+    """(p, syndromes) for each event with p > 0, in schedule order:
+    syndromes[k] has bit r set when fault type k, inserted after the event's
+    gate, anticommutes at the end of the circuit with canonical row r.
     The types are Z for an idle; X, Y, Z for an H; for a CNOT, type k is
     the two-qubit Pauli of code k + 1 (1..15), whose bits 0 and 1 are X and
     Z on the first wire and bits 2 and 3 X and Z on the second. The one
-    backward pass keeps the images of X_v and Z_v inserted at the current
-    point: H swaps them, and CNOT(c, t) maps X_c to X_c X_t and Z_t to
-    Z_c Z_t."""
-    img_x = [1 << v for v in range(n)]
-    img_z = [1 << (v + n) for v in range(n)]
+    backward pass keeps the syndromes of X_v and Z_v inserted at the current
+    point. At the end X_v anticommutes with the rows whose Z mask has bit v,
+    and Z_v with those whose X mask has it; H swaps X_v and Z_v, CNOT(c, t)
+    maps X_c to X_c X_t and Z_t to Z_c Z_t, and a product's syndrome is the
+    XOR of its factors'."""
+    syn_x = _transpose([rz for _, _, rz, _ in canon])
+    syn_z = _transpose([rx for _, rx, _, _ in canon])
     noisy = []
     for kind, wires, p in reversed(events):
         if p > 0:
             v = wires[0]
             if kind == "idle":
-                images: Tuple[int, ...] = (img_z[v],)
+                syndromes: Tuple[int, ...] = (syn_z[v],)
             elif kind == "h":
-                images = (img_x[v], img_x[v] ^ img_z[v], img_z[v])
+                syndromes = (syn_x[v], syn_x[v] ^ syn_z[v], syn_z[v])
             else:
                 table = [0]  # table[code]: the XOR of the parts its bits select
-                for part in (img_x[v], img_z[v], img_x[wires[1]], img_z[wires[1]]):
+                for part in (syn_x[v], syn_z[v], syn_x[wires[1]], syn_z[wires[1]]):
                     table += [m ^ part for m in table]
-                images = tuple(table[1:])
-            noisy.append((p, images))
+                syndromes = tuple(table[1:])
+            noisy.append((p, syndromes))
         if kind == "h":
             v = wires[0]
-            img_x[v], img_z[v] = img_z[v], img_x[v]
+            syn_x[v], syn_z[v] = syn_z[v], syn_x[v]
         elif kind == "cx":
             c, t = wires
-            img_x[c] ^= img_x[t]
-            img_z[t] ^= img_z[c]
+            syn_x[c] ^= syn_x[t]
+            syn_z[t] ^= syn_z[c]
     noisy.reverse()
     return noisy
 
@@ -84,9 +87,9 @@ class _Group:
     when b is row k's pivot column, else 0. In reduced form the only member
     that can have a given word is the one its pivot bits select.
 
-    A fault's syndrome has bit k set when its image anticommutes with row k,
-    and it anticommutes with member j exactly when the syndrome and j share
-    an odd number of bits. A noisy event with probability p and T fault
+    A fault's syndrome (``_fault_syndromes``) has bit k set when its image
+    anticommutes with row k, and it anticommutes with member j exactly when
+    the syndrome and j share an odd number of bits. A noisy event with probability p and T fault
     types, a of which anticommute with the member, multiplies the member's
     expectation by 1 - 2 p a / T, so the character is (-1)^sign times the
     product of these factors over the events."""
@@ -99,18 +102,15 @@ class _Group:
         self.index = np.zeros(2 * n, dtype=np.int64)
         self.index[[col for col, *_ in canon]] = 1 << np.arange(n)
         self.chi = 1.0 - 2.0 * neg
-        noisy = _fault_images(n, events)
+        noisy = _fault_syndromes(canon, events)
         if not noisy:
             return
-        cols = np.arange(2 * n)
-        # A word bit anticommutes with a row's bit on the same wire in the other block.
-        dual = np.array([rz | rx << n for _, rx, rz, _ in canon], dtype=np.int64)[:, None] >> cols & 1
-        images = np.array([f for _, images in noisy for f in images], dtype=np.int64)
-        syndrome = ((images[:, None] >> cols & 1) @ dual.T & 1).astype(np.uint8)  # [f, k]: f anticommutes with row k
-        odd = np.zeros((images.size, 1), dtype=np.uint8)  # [f, j]: f anticommutes with member j
+        faults = np.array([f for _, syndromes in noisy for f in syndromes], dtype=np.int64)
+        syndrome = (faults[:, None] >> np.arange(n) & 1).astype(np.uint8)  # [f, k]: f anticommutes with row k
+        odd = np.zeros((faults.size, 1), dtype=np.uint8)  # [f, j]: f anticommutes with member j
         for k in range(n):
             odd = np.concatenate((odd, odd ^ syndrome[:, k, None]), axis=1)
-        ntypes = np.array([len(images) for _, images in noisy])
+        ntypes = np.array([len(syndromes) for _, syndromes in noisy])
         anti = np.add.reduceat(odd, np.cumsum(ntypes) - ntypes, axis=0, dtype=np.uint8)  # a by (event, member)
         factor = anti * (-2.0 * np.array([p for p, _ in noisy]) / ntypes)[:, None]
         factor += 1.0

@@ -12,8 +12,10 @@ so the built-in solver and an external optimizing solver see the same model.
 The trees have three shapes (a variable, a binary operator, an n-ary and/or)
 besides constants and negation, and their nodes compare by identity. The
 atoms (variables, per-wire conditions) and the wire-order subtrees of the
-pairing constraints are built once per model and shared between constraints;
-a wire-order conjunction has one conjunct per gate that may act on the wire,
+pairing constraints are built once per model and shared between constraints.
+One gap rule (``_none_within``) writes every wire-order subtree: no live gate
+on the wire lies inside the gap from one CNOT's end, or from time 0, to
+another CNOT's start. It has one conjunct per gate that may act on the wire,
 and none for the gates that never do.
 """
 
@@ -25,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import groupby
 from operator import eq, itemgetter, le, sub
-from typing import Callable, ClassVar, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .device import DeviceCalibration, topology_graph
 from .errors import ExternalSolverError, ValidationError
@@ -301,15 +303,6 @@ def build_model(
     coherence = {q: Fraction(str(cal.qubit(q).coherence_time_us)) * 1000 for q in mapped}
 
     m_cnots = len(edges)
-    gates: List[GateId] = []
-    for i, (pa, pb, _, _) in enumerate(cnot_info):
-        gates.append(GateId("cnot", i, (pa, pb), "edge", i))
-    for v in range(g.n):
-        gates.append(GateId("h", m_cnots + v, (e.mapping[v],), "prep", v))
-    for i, (_, pb, _, _) in enumerate(cnot_info):
-        gates.append(GateId("h", m_cnots + g.n + 2 * i, (pb,), "pre", i))
-        gates.append(GateId("h", m_cnots + g.n + 2 * i + 1, (pb,), "post", i))
-
     crosstalk_pairs: List[Tuple[int, int]] = []
     if obj.crosstalk_free:
         for i in range(m_cnots):
@@ -325,19 +318,25 @@ def build_model(
         graph=g,
         embedding=e,
         objective=obj,
-        gates=gates,
+        gates=[GateId("cnot", i, (pa, pb), "edge", i) for i, (pa, pb, _, _) in enumerate(cnot_info)],
         cnot_info=cnot_info,
         sq_dur=sq_dur,
         coherence_ns=coherence,
         mapped_qubits=mapped,
         crosstalk_pairs=crosstalk_pairs,
     )
+    for v in range(g.n):
+        model.gates.append(GateId("h", model.prep_id(v), (model.prep_wire(v),), "prep", v))
+    for i, (_, pb, _, _) in enumerate(cnot_info):
+        model.gates.append(GateId("h", model.pre_id(i), (pb,), "pre", i))
+        model.gates.append(GateId("h", model.post_id(i), (pb,), "post", i))
     model.constraints = _build_constraints(model)
     return model
 
 
 class _Terms:
-    """The atoms of one model and the wire-order subtrees its constraints share.
+    """The atoms of one model and the gap subtrees (``_none_within``) its
+    pairing constraints share.
 
     One instance serves one _build_constraints (or emit_smtlib) call, so
     nothing is shared between models.
@@ -371,47 +370,34 @@ class _Terms:
         self.meets = [
             sorted((j, q) for q in (pa, pb) for j in self.cnots_on[q]) for pa, pb, _, _ in m.cnot_info
         ]
-        self.before: Dict[Tuple[int, int], Expr] = {}
-        self.between: Dict[Tuple[int, int, int], Expr] = {}
+        # gaps[(q, j1, j2)]: the _none_within tree of that gap.
+        self.gaps: Dict[Tuple[int, Optional[int], int], Expr] = {}
 
 
 def _nonoverlap(t: _Terms, a: int, b: int) -> Expr:
     return disj(Le(t.T[a], t.S[b]), Le(t.T[b], t.S[a]))
 
 
-def _none_before(t: _Terms, q: int, j: int) -> Expr:
-    """No non-canceled gate on wire q lies entirely before CNOT j starts.
-
-    One conjunct per gate that may act on q (other than j), in gate order;
-    q's own prep is one of them, so the conjunction is never empty. Built
-    once per (q, j) and model: pair-prep and pair-pre share the tree.
-    """
-    tree = t.before.get((q, j))
-    if tree is None:
-        terms = [
-            Not(conj(t.wires[gid][q], t.live[gid], Le(t.T[gid], t.S[j])))
-            for gid in t.on_wire[q]
-            if gid != j
-        ]
-        tree = t.before[(q, j)] = conj(*terms)
-    return tree
-
-
-def _none_between(t: _Terms, q: int, j1: int, j2: int) -> Expr:
-    """No non-canceled gate on wire q lies inside the gap between CNOTs j1, j2.
+def _none_within(t: _Terms, q: int, j1: Optional[int], j2: int) -> Expr:
+    """No non-canceled gate on wire q lies inside the gap from the end of
+    CNOT j1 (from time 0 when j1 is None) to the start of CNOT j2.
 
     One conjunct per gate that may act on q (other than j1, j2), in gate
-    order; q's prep is one of them. Built once per (q, j1, j2) and model:
-    pair-pre[j2] and pair-post[j1] share the tree.
+    order; q's prep is one of them, so the conjunction is never empty. Built
+    once per (q, j1, j2) and model: the pair options that name one gap share
+    the tree (pair-prep and pair-pre the gap from 0, pair-pre[j2] and
+    pair-post[j1] the gap between two CNOTs).
     """
-    tree = t.between.get((q, j1, j2))
+    tree = t.gaps.get((q, j1, j2))
     if tree is None:
         terms = [
-            Not(conj(t.wires[gid][q], t.live[gid], Le(t.T[j1], t.S[gid]), Le(t.T[gid], t.S[j2])))
+            # conj drops the TRUE that stands for "after time 0".
+            Not(conj(t.wires[gid][q], t.live[gid], TRUE if j1 is None else Le(t.T[j1], t.S[gid]),
+                     Le(t.T[gid], t.S[j2])))
             for gid in t.on_wire[q]
             if gid != j1 and gid != j2
         ]
-        tree = t.between[(q, j1, j2)] = conj(*terms)
+        tree = t.gaps[(q, j1, j2)] = conj(*terms)
     return tree
 
 
@@ -428,37 +414,20 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
         cons.append((f"domain[{gate.id}]", Le(zero, S[gate.id])))
 
     # constr-a: duration linkage, conditional on direction.
+    def lasts(gid: int, i: int, if_c: int, if_not_c: int) -> Expr:
+        """Gate gid's span is if_c when C_i holds and if_not_c when not."""
+        pa, pb, _, _ = m.cnot_info[i]
+        span = Sub(T[gid], S[gid])
+        return conj(implies(targets[i][pb], EqR(span, _const(if_c))),
+                    implies(targets[i][pa], EqR(span, _const(if_not_c))))
+
     for i, (pa, pb, dab, dba) in enumerate(m.cnot_info):
-        c, not_c = targets[i][pb], targets[i][pa]  # C_i, (not C_i)
-        span = Sub(T[i], S[i])
-        cons.append(
-            (
-                f"constr-a[cnot {i}]",
-                conj(
-                    implies(c, EqR(span, _const(dab))),
-                    implies(not_c, EqR(span, _const(dba))),
-                ),
-            )
-        )
+        cons.append((f"constr-a[cnot {i}]", lasts(i, i, dab, dba)))
         for hid in (m.pre_id(i), m.post_id(i)):
-            span_h = Sub(T[hid], S[hid])
-            cons.append(
-                (
-                    f"constr-a[h {hid}]",
-                    conj(
-                        implies(c, EqR(span_h, _const(m.sq_dur[pb]))),
-                        implies(not_c, EqR(span_h, _const(m.sq_dur[pa]))),
-                    ),
-                )
-            )
+            cons.append((f"constr-a[h {hid}]", lasts(hid, i, m.sq_dur[pb], m.sq_dur[pa])))
     for v in range(g.n):
         pid = m.prep_id(v)
-        cons.append(
-            (
-                f"constr-a[h {pid}]",
-                EqR(Sub(T[pid], S[pid]), _const(m.sq_dur[m.prep_wire(v)])),
-            )
-        )
+        cons.append((f"constr-a[h {pid}]", EqR(Sub(T[pid], S[pid]), _const(m.sq_dur[m.prep_wire(v)]))))
 
     # constr-b / constr-c: sandwich ordering, waived for canceled Hadamards.
     for i in range(mc):
@@ -543,7 +512,7 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
         pid = m.prep_id(v)
         q = m.prep_wire(v)
         options = [
-            conj(targets[j][q], B[m.pre_id(j)], _none_before(t, q, j))
+            conj(targets[j][q], B[m.pre_id(j)], _none_within(t, q, None, j))
             for j in t.cnots_on[q]
         ]
         cons.append((f"pair-prep[{pid}]", implies(B[pid], disj(*options))))
@@ -551,14 +520,14 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
         pre_opts = []
         for q in sorted(set(m.cnot_info[i][:2])):
             if q in prep_by_wire:
-                pre_opts.append(conj(targets[i][q], B[prep_by_wire[q]], _none_before(t, q, i)))
+                pre_opts.append(conj(targets[i][q], B[prep_by_wire[q]], _none_within(t, q, None, i)))
         post_opts = []
         for j, q in t.meets[i]:
             if j == i:
                 continue
             ti, tj = targets[i][q], targets[j][q]
-            pre_opts.append(conj(ti, tj, B[m.post_id(j)], Le(T[j], S[i]), _none_between(t, q, j, i)))
-            post_opts.append(conj(ti, tj, B[m.pre_id(j)], Le(T[i], S[j]), _none_between(t, q, i, j)))
+            pre_opts.append(conj(ti, tj, B[m.post_id(j)], Le(T[j], S[i]), _none_within(t, q, j, i)))
+            post_opts.append(conj(ti, tj, B[m.pre_id(j)], Le(T[i], S[j]), _none_within(t, q, i, j)))
         cons.append((f"pair-pre[{i}]", implies(B[m.pre_id(i)], disj(*pre_opts))))
         cons.append((f"pair-post[{i}]", implies(B[m.post_id(i)], disj(*post_opts))))
 
@@ -591,11 +560,14 @@ def check_solution(m: SchedModel, s: Solution) -> List[str]:
 
 
 def resolved_wires(m: SchedModel, gate: GateId, c_bits: Dict[int, bool]) -> Tuple[int, ...]:
-    """Physical wires of a gate once directions are fixed."""
-    if gate.role in ("pre", "post"):
-        pa, pb, _, _ = m.cnot_info[gate.of]
-        return (pb if c_bits[gate.of] else pa,)
-    return gate.qubits
+    """Physical wires of a gate once directions are fixed: a CNOT's
+    (control, target), where C true makes its coupler's a the control and b
+    the target; a sandwich Hadamard's wire, its CNOT's target; a prep's wire."""
+    if gate.role == "prep":
+        return gate.qubits
+    pa, pb, _, _ = m.cnot_info[gate.of]
+    control, target = (pa, pb) if c_bits[gate.of] else (pb, pa)
+    return (control, target) if gate.kind == "cnot" else (target,)
 
 
 def canceled_count(m: SchedModel, vars: ModelVars) -> int:

@@ -341,26 +341,26 @@ def test_placement_exhaustive_maximum():
 
 
 def test_cli_determinism(tmp_path, capsys):
-    """Identical invocations (any --threads) produce bit-identical outputs."""
+    """Identical invocations produce bit-identical outputs."""
     cal_path = tmp_path / "cal.json"
     save_calibration(line_calibration(3), cal_path)
     runs = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    for tag in "abc":
         circ = tmp_path / f"c{tag}.json"
         smt = tmp_path / f"m{tag}.smt2"
         report = tmp_path / f"r{tag}.json"
         assert main([
-            "--threads", threads, "compile", "--graph", "linear:3",
+            "compile", "--graph", "linear:3",
             "--cal", str(cal_path), "--objective", "smt-runtime", "--out", str(circ),
         ]) == 0
         summary = capsys.readouterr().out
         assert main([
-            "--threads", threads, "emit-smt", "--graph", "linear:3",
+            "emit-smt", "--graph", "linear:3",
             "--cal", str(cal_path), "--objective", "smt-runtime", "--out", str(smt),
         ]) == 0
         capsys.readouterr()
         assert main([
-            "--threads", threads, "simulate", "--circuit", str(circ),
+            "simulate", "--circuit", str(circ),
             "--noise-from", str(cal_path), "--shots", "512", "--seed", "1",
             "--mitigate", "--report", str(report),
         ]) == 0
@@ -371,5 +371,5 @@ def test_cli_determinism(tmp_path, capsys):
     assert json.loads(runs[0][0])["makespan_ns"] == 670
     _report(
         "[PASS] determinism: compile/emit-smt/simulate outputs bit-identical "
-        "across repeated runs and thread settings"
+        "across repeated runs"
     )

@@ -275,8 +275,9 @@ class TestMalformedInput:
             (["compile", "--graph", "linear:3", "--objective", "nope"], "--objective"),
             (["simulate", "--circuit", "x", "--shots", "abc"], "--shots"),
             (["bogus"], "bogus"),
-            (["--threads", "-5", "place", "--graph", "linear:3"], "--threads"),
-            (["--threads", "0", "place", "--graph", "linear:3"], "--threads"),
+            # --threads is not a flag: before the command it is read as the command.
+            (["--threads", "1", "place", "--graph", "linear:3"], "invalid choice: '1'"),
+            (["place", "--graph", "linear:3", "--threads", "1"], "unrecognized arguments: --threads 1"),
             (["place", "--graph", "linear:1"], "linear graph needs n >= 2, got 1"),
             (["place", "--graph", "ring:2"], "ring graph needs n >= 3, got 2"),
             (["place", "--graph", "star:1"], "star graph needs n >= 2, got 1"),
@@ -382,7 +383,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "edit, field",
         [
-            (lambda c: c["gates"][1].pop("end_ns"), "gates[1].end_ns"),
+            (lambda c: c["gates"][1].update(end_ns=None), "gates[1].end_ns"),
             (lambda c: c["gates"][0].update(start_ns="x"), "gates[0].start_ns"),
             (lambda c: c["gates"][2].update(kind="cz"), "gates[2].kind"),
             (lambda c: c.update(gates=5), "gates must be a list"),
@@ -397,6 +398,7 @@ class TestMalformedInput:
             (lambda c: c["gates"][0].update(start_ns=-35, end_ns=0), "gates[0].start_ns -35 is before time 0"),
             (lambda c: c["gates"].__setitem__(0, 5), "gates[0] must be an object, got 5"),
             (lambda c: c["gates"][0].update(bogus=1), "circuit file: gates[0]: unknown keys ['bogus']"),
+            (lambda c: c["gates"][0].pop("start_ns"), "circuit file: gates[0]: missing keys ['start_ns']"),
             (lambda c: c.update(bogus=1), "circuit file: unknown keys ['bogus']"),
             (lambda c: c.pop("makespan_ns"), "circuit file: missing keys ['makespan_ns']"),
             (lambda c: c["gates"].pop(2), "circuit file: the cx gates' graph on 2 vertices is not connected"),
@@ -477,11 +479,11 @@ class TestMalformedInput:
             (lambda d: d["couplers"][1].update(duration_ab_ns="300"), "couplers[1].duration_ab_ns"),
             (lambda d: d.update(couplers="nope"), "couplers must be a list"),
             (lambda d: d.update(qubits=[5]), "qubits[0] must be an object"),
-            (lambda d: d["qubits"][0].update(index=-1), "qubits[-1].index must be non-negative"),
-            (lambda d: d["qubits"][1].update(index=0), "qubits: duplicate index"),
-            (lambda d: d["couplers"][0].update(b=0), "couplers[(0,0)]: endpoints must differ"),
-            (lambda d: d["couplers"][0].update(duration_ba_ns=0), "couplers[(0,1)]: durations must be > 0"),
-            (lambda d: d["couplers"][0].update(error=1.5), "couplers[(0,1)].error must be in [0, 1]"),
+            (lambda d: d["qubits"][0].update(index=-1), "qubits[0].index must be non-negative"),
+            (lambda d: d["qubits"][1].update(index=0), "qubits[1].index 0 duplicates qubits[0]"),
+            (lambda d: d["couplers"][0].update(b=0), "couplers[0].b must differ from a"),
+            (lambda d: d["couplers"][0].update(duration_ba_ns=0), "couplers[0].duration_ba_ns must be > 0"),
+            (lambda d: d["couplers"][0].update(error=1.5), "couplers[0].error must be in [0, 1]"),
         ],
     )
     def test_bad_calibration_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):

@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gscompile.circuit import circuit_from_json, circuit_to_json, naive_circuit
 from gscompile.device import (
     calibration_from_json,
     load_calibration,
@@ -11,8 +13,9 @@ from gscompile.device import (
     topology_graph,
 )
 from gscompile.errors import ValidationError
+from gscompile.graphs import linear_graph
 
-from conftest import line_calibration, mutated_json
+from conftest import identity_embedding, line_calibration, mutated_json
 
 
 def test_round_trip(tmp_path):
@@ -38,6 +41,62 @@ def test_calibration_fails_closed(data):
         calibration_from_json(data)
     except ValidationError:
         pass
+
+
+_NOT_INT = st.sampled_from(["7", 2.5, 7.0, True, None, [1]])
+_NOT_REAL = st.sampled_from(["0.5", True, None, [0.5], float("nan"), float("inf"), 10**400])
+_NOT_PROBABILITY = st.floats(min_value=1.0, exclude_min=True) | st.floats(max_value=-1e-9)
+_NOT_POSITIVE = st.integers(max_value=0)
+# Per field: values of a wrong type or out of range that the field's own
+# record is refused for. A qubit index or coupler endpoint is corrupted only
+# to a value no other record has, so no other record can be the one refused.
+_CORRUPT = {
+    "index": _NOT_INT | st.integers(max_value=-1),
+    "coherence_time_us": _NOT_REAL | st.floats(max_value=0.0),
+    "readout_p01": _NOT_REAL | _NOT_PROBABILITY,
+    "readout_p10": _NOT_REAL | _NOT_PROBABILITY,
+    "sq_duration_ns": _NOT_INT | _NOT_POSITIVE,
+    "sq_error": _NOT_REAL | _NOT_PROBABILITY,
+    "a": _NOT_INT | st.integers().filter(lambda q: q not in range(5)),
+    "b": _NOT_INT | st.integers().filter(lambda q: q not in range(5)),
+    "duration_ab_ns": _NOT_INT | _NOT_POSITIVE,
+    "duration_ba_ns": _NOT_INT | _NOT_POSITIVE,
+    "error": _NOT_REAL | _NOT_PROBABILITY,
+    "kind": st.sampled_from(["cz", "H", 1, None]),
+    "wires": st.sampled_from(["0", None, [], [99], [0.0], [True], [0, 1, 2]]),
+    "start_ns": _NOT_INT | st.integers(max_value=-1) | st.just(10**400),
+    "end_ns": _NOT_INT | st.just(10**400),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupt_record_named(data):
+    # One field of one record corrupted: the refusal names the record's
+    # position in its file's list and the field. Calibration qubit indices
+    # are permuted, so a position is not an index.
+    cal = calibration_json(line_calibration(5))
+    perm = data.draw(st.permutations(range(5)))
+    for k, q in enumerate(cal["qubits"]):
+        q["index"] = perm[k]
+    for c in cal["couplers"]:
+        c["a"], c["b"] = perm[c["a"]], perm[c["b"]]
+    g = linear_graph(4)
+    circ = circuit_to_json(naive_circuit(g, identity_embedding(g), line_calibration(4)))
+    key = data.draw(st.sampled_from(["qubits", "couplers", "gates"]))
+    doc, load = (circ, circuit_from_json) if key == "gates" else (cal, calibration_from_json)
+    k = data.draw(st.integers(0, len(doc[key]) - 1))
+    record = doc[key][k]
+    name = data.draw(st.sampled_from(sorted(record)))
+    if name == "end_ns":  # out of range: a window that does not end after it starts
+        bad = data.draw(_CORRUPT[name] | st.integers(max_value=record["start_ns"]))
+    else:
+        bad = data.draw(_CORRUPT[name])
+    record[name] = bad
+    with pytest.raises(ValidationError) as exc:
+        load(doc)
+    where = f"circuit file: {key}[{k}].{name}" if key == "gates" else f"{key}[{k}].{name}"
+    assert str(exc.value).startswith(where), (str(exc.value), where)
 
 
 def test_unknown_keys_rejected():
