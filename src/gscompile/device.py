@@ -136,9 +136,12 @@ def _records(data: dict, key: str, fields: Dict[str, type], record: type) -> tup
 
 def calibration_from_json(data: dict) -> DeviceCalibration:
     _require_keys(data, {"snapshot_label", "qubits", "couplers"}, "calibration")
+    label = data["snapshot_label"]
+    if not isinstance(label, str):
+        raise ValidationError(f"calibration: snapshot_label must be a string, got {label!r}")
     qubits = _records(data, "qubits", _QUBIT_FIELDS, PhysicalQubit)
     couplers = _records(data, "couplers", _COUPLER_FIELDS, Coupler)
-    return DeviceCalibration(str(data["snapshot_label"]), qubits, couplers)
+    return DeviceCalibration(label, qubits, couplers)
 
 
 def load_calibration(path) -> DeviceCalibration:

@@ -160,10 +160,20 @@ def load_graph(path) -> GraphSpec:
         raise ValidationError(f"graph file: n must be an integer, got {n!r}")
     if not isinstance(edges, list):
         raise ValidationError("graph file: edges must be a list of vertex pairs")
+    seen: Dict[Tuple[int, int], int] = {}  # canonical edge -> position of its first record
     for k, e in enumerate(edges):
+        where = f"graph file: edges[{k}]"
         if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
-            raise ValidationError(f"graph file: edges[{k}] must be a pair of integer vertices, got {e!r}")
-    return graph_from_edges(n, [tuple(e) for e in edges])
+            raise ValidationError(f"{where} must be a pair of integer vertices, got {e!r}")
+        for x in e:
+            if not 0 <= x < n:
+                raise ValidationError(f"{where} has vertex {x} outside 0..{n - 1}")
+        if e[0] == e[1]:
+            raise ValidationError(f"{where} is a self-loop at vertex {e[0]}")
+        j = seen.setdefault((min(e), max(e)), k)
+        if j != k:
+            raise ValidationError(f"{where} duplicates edges[{j}]")
+    return GraphSpec(n, frozenset(seen))
 
 
 def _is_int(x) -> bool:

@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
-from operator import eq, itemgetter, le, sub
+from itertools import combinations, permutations
+from operator import eq, le, sub
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .device import DeviceCalibration, topology_graph
@@ -365,11 +365,6 @@ class _Terms:
             for q in wires:
                 self.on_wire.setdefault(q, []).append(gid)
         self.cnots_on = {q: [gid for gid in gids if gid < m.num_cnots] for q, gids in self.on_wire.items()}
-        # meets[i]: (j, q) for each CNOT j sharing wire q with CNOT i (i itself
-        # on both its wires), in ascending order.
-        self.meets = [
-            sorted((j, q) for q in (pa, pb) for j in self.cnots_on[q]) for pa, pb, _, _ in m.cnot_info
-        ]
         # gaps[(q, j1, j2)]: the _none_within tree of that gap.
         self.gaps: Dict[Tuple[int, Optional[int], int], Expr] = {}
 
@@ -404,7 +399,6 @@ def _none_within(t: _Terms, q: int, j1: Optional[int], j2: int) -> Expr:
 def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
     cons: List[Tuple[str, Expr]] = []
     g = m.graph
-    mc = m.num_cnots
     t = _Terms(m)
     S, T, B, live, targets = t.S, t.T, t.B, t.live, t.targets
 
@@ -430,7 +424,7 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
         cons.append((f"constr-a[h {pid}]", EqR(Sub(T[pid], S[pid]), _const(m.sq_dur[m.prep_wire(v)]))))
 
     # constr-b / constr-c: sandwich ordering, waived for canceled Hadamards.
-    for i in range(mc):
+    for i in range(m.num_cnots):
         pre, post = m.pre_id(i), m.post_id(i)
         cons.append((f"constr-b[{i}]", implies(live[pre], Le(T[pre], S[i]))))
         cons.append((f"constr-c[{i}]", implies(live[post], Le(T[i], S[post]))))
@@ -445,21 +439,25 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
             cond = conj(live[pid], live[gid], t.wires[gid][q])
             cons.append((f"prep-first[{pid},{gid}]", implies(cond, Le(T[pid], S[gid]))))
 
-    # constr-d: disjunctive non-overlap for CNOTs sharing a same-role qubit.
-    for i in range(mc):
-        for j, q in t.meets[i]:
-            if j <= i:
+    # wire-excl: two live gates that may act on one wire never overlap there.
+    # One walk over the pairs of each wire's gates. It skips a pair with a
+    # prep, which prep-first orders, and a CNOT's own sandwich (i, pre_i,
+    # post_i), which b/c order. The CNOT pairs state constr-d (same-role CNOTs
+    # on a shared qubit) and no more: a pair with different roles on q is
+    # already kept apart by constr-e, whose branches each give T_i <= S_j or
+    # T_j <= S_i through b/c and constr-a's durations.
+    for q, gids in t.on_wire.items():
+        for a, b in combinations(gids, 2):
+            ga, gb = m.gates[a], m.gates[b]
+            if "prep" in (ga.role, gb.role) or ga.of == gb.of:
                 continue
-            ti, tj = targets[i][q], targets[j][q]
-            same_role = disj(conj(ti, tj), conj(Not(ti), Not(tj)))
-            cons.append((f"constr-d[{i},{j}]", implies(same_role, _nonoverlap(t, i, j))))
+            cond = conj(t.wires[a][q], t.wires[b][q], live[a], live[b])
+            cons.append((f"wire-excl[{a},{b},{q}]", implies(cond, _nonoverlap(t, a, b))))
 
     # constr-e: a CNOT controlling q must stay clear of the whole Hadamard
     # sandwich of a CNOT targeting q.
-    for i in range(mc):
-        for j, q in t.meets[i]:
-            if j == i:
-                continue
+    for q, js in t.cnots_on.items():
+        for i, j in permutations(js, 2):
             cond = conj(Not(targets[i][q]), targets[j][q])
             pre_j, post_j = m.pre_id(j), m.post_id(j)
             before = disj(
@@ -472,36 +470,14 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
             )
             cons.append((f"constr-e[{i},{j}]", implies(cond, disj(before, after))))
 
-    # wire-excl: non-canceled gates sharing a wire never overlap. PREP pairs
-    # are already ordered by prep-first; sandwich pairs of one CNOT by b/c.
-    for i in range(mc):
-        for a in (m.pre_id(i), m.post_id(i)):
-            for j, q in t.meets[i]:
-                if j <= i:
-                    continue
-                for b in (m.pre_id(j), m.post_id(j)):
-                    cond = conj(targets[i][q], targets[j][q], live[a], live[b])
-                    cons.append((f"wire-excl[{a},{b},{q}]", implies(cond, _nonoverlap(t, a, b))))
-            for j, q in t.meets[i]:
-                if j == i:
-                    continue
-                cond = conj(targets[i][q], live[a])
-                cons.append((f"wire-excl[{a},{j},{q}]", implies(cond, _nonoverlap(t, a, j))))
-
     # constr-f: a canceled Hadamard's window is contained in the window of a
     # CNOT targeting the same wire.
     for hid in m.hadamard_ids():
-        gate = m.gates[hid]
-        if gate.role == "prep":
-            q = gate.qubits[0]
-            wire_conds = [(j, targets[j][q]) for j in t.cnots_on[q]]
-        else:
-            i = gate.of
-            wire_conds = [
-                (j, disj(*(conj(targets[i][q], targets[j][q]) for _, q in shared)))
-                for j, shared in groupby(t.meets[i], key=itemgetter(0))
-            ]
-        witnesses = [conj(cond, Le(S[j], S[hid]), Le(T[hid], T[j])) for j, cond in wire_conds]
+        witnesses = [
+            conj(on, targets[j][q], Le(S[j], S[hid]), Le(T[hid], T[j]))
+            for q, on in t.wires[hid].items()
+            for j in t.cnots_on[q]
+        ]
         cons.append((f"constr-f[{hid}]", implies(B[hid], disj(*witnesses))))
 
     # pair-*: canceled Hadamards must pair up adjacently on their wire:
@@ -516,18 +492,16 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
             for j in t.cnots_on[q]
         ]
         cons.append((f"pair-prep[{pid}]", implies(B[pid], disj(*options))))
-    for i in range(mc):
-        pre_opts = []
-        for q in sorted(set(m.cnot_info[i][:2])):
-            if q in prep_by_wire:
-                pre_opts.append(conj(targets[i][q], B[prep_by_wire[q]], _none_within(t, q, None, i)))
-        post_opts = []
-        for j, q in t.meets[i]:
-            if j == i:
-                continue
-            ti, tj = targets[i][q], targets[j][q]
-            pre_opts.append(conj(ti, tj, B[m.post_id(j)], Le(T[j], S[i]), _none_within(t, q, j, i)))
-            post_opts.append(conj(ti, tj, B[m.pre_id(j)], Le(T[i], S[j]), _none_within(t, q, i, j)))
+    for i, (pa, pb, _, _) in enumerate(m.cnot_info):
+        pre_opts, post_opts = [], []
+        for q in (pa, pb):
+            ti = targets[i][q]
+            pre_opts.append(conj(ti, B[prep_by_wire[q]], _none_within(t, q, None, i)))
+            for j in t.cnots_on[q]:
+                if j != i:
+                    tj = targets[j][q]
+                    pre_opts.append(conj(ti, tj, B[m.post_id(j)], Le(T[j], S[i]), _none_within(t, q, j, i)))
+                    post_opts.append(conj(ti, tj, B[m.pre_id(j)], Le(T[i], S[j]), _none_within(t, q, i, j)))
         cons.append((f"pair-pre[{i}]", implies(B[m.pre_id(i)], disj(*pre_opts))))
         cons.append((f"pair-post[{i}]", implies(B[m.post_id(i)], disj(*post_opts))))
 
@@ -541,15 +515,21 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
 # ---------------------------------------------------------------------------
 # Solution checking and objective evaluation
 
+def _variables(m: SchedModel) -> Iterable[Tuple[str, str, str, int]]:
+    """(name, sort, ModelVars field, key) of every model variable: C per CNOT,
+    then per gate S, T and, for a Hadamard, B."""
+    for i in range(m.num_cnots):
+        yield f"C_{i}", "Bool", "C", i
+    for gate in m.gates:
+        for var in ("S", "T", "B") if gate.kind == "h" else ("S", "T"):
+            yield f"{var}_{gate.id}", "Bool" if var == "B" else "Real", var, gate.id
+
+
 def _env_of(m: SchedModel, vars: ModelVars) -> Dict[str, object]:
     env: Dict[str, object] = {}
-    for i in range(m.num_cnots):
-        env[f"C_{i}"] = vars.C[i]
-    for gate in m.gates:
-        env[f"S_{gate.id}"] = Fraction(vars.S[gate.id])
-        env[f"T_{gate.id}"] = Fraction(vars.T[gate.id])
-        if gate.kind == "h":
-            env[f"B_{gate.id}"] = vars.B[gate.id]
+    for name, sort, var, key in _variables(m):
+        value = getattr(vars, var)[key]
+        env[name] = value if sort == "Bool" else Fraction(value)
     return env
 
 
@@ -744,13 +724,8 @@ def parse_external_solution(m: SchedModel, solver_output: str) -> Solution:
                     stack.extend(x for x in node if isinstance(x, list))
 
     vars = ModelVars(C={}, S={}, T={}, B={})
-    for i in range(m.num_cnots):
-        vars.C[i] = _value_of(bindings, f"C_{i}", "Bool")
-    for gate in m.gates:
-        vars.S[gate.id] = _value_of(bindings, f"S_{gate.id}", "Real")
-        vars.T[gate.id] = _value_of(bindings, f"T_{gate.id}", "Real")
-        if gate.kind == "h":
-            vars.B[gate.id] = _value_of(bindings, f"B_{gate.id}", "Bool")
+    for name, sort, var, key in _variables(m):
+        getattr(vars, var)[key] = _value_of(bindings, name, sort)
 
     return Solution(
         vars=vars,

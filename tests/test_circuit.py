@@ -143,7 +143,7 @@ class TestExport:
         broken = type(c)(
             n=c.n,
             placement=c.placement,
-            gates=(c.gates[0]._replace if False else c.gates[0],) + c.gates[1:],
+            gates=c.gates,
             makespan=c.makespan + Fraction(1, 3),
             graph=c.graph,
         )

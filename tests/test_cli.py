@@ -305,7 +305,9 @@ class TestMalformedInput:
             ({"n": 3}, "graph file: missing keys ['edges']"),
             ({"n": 3, "edges": 5}, "edges must be a list"),
             ({"n": 1, "edges": []}, "graph needs at least 2 vertices, got 1"),
-            ({"n": 3, "edges": [[0, 1], [1, 5]]}, "edge (1,5) not canonical within 0..2"),
+            ({"n": 3, "edges": [[0, 1], [1, 5]]}, "graph file: edges[1] has vertex 5 outside 0..2"),
+            ({"n": 3, "edges": [[0, 1], [1, 1]]}, "graph file: edges[1] is a self-loop at vertex 1"),
+            ({"n": 3, "edges": [[1, 2], [0, 1], [2, 1]]}, "graph file: edges[2] duplicates edges[0]"),
         ],
     )
     def test_bad_graph_file_exit_1(self, tmp_path, capsys, graph, field):
@@ -484,6 +486,9 @@ class TestMalformedInput:
             (lambda d: d["couplers"][0].update(b=0), "couplers[0].b must differ from a"),
             (lambda d: d["couplers"][0].update(duration_ba_ns=0), "couplers[0].duration_ba_ns must be > 0"),
             (lambda d: d["couplers"][0].update(error=1.5), "couplers[0].error must be in [0, 1]"),
+            (lambda d: d.update(snapshot_label=None), "calibration: snapshot_label must be a string, got None"),
+            (lambda d: d.update(snapshot_label=[1, 2]), "calibration: snapshot_label must be a string, got [1, 2]"),
+            (lambda d: d.update(snapshot_label=5), "calibration: snapshot_label must be a string, got 5"),
         ],
     )
     def test_bad_calibration_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):

@@ -1,4 +1,6 @@
 import hashlib
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,9 @@ from gscompile.model import (
     Objective,
     ObjectiveKind,
     Or,
+    Solution,
     Var,
+    _variables,
     conj,
     disj,
     implies,
@@ -30,6 +34,7 @@ from gscompile.model import (
     objective_value_of,
     parse_external_solution,
     remaining_coherence_of,
+    resolved_wires,
 )
 from gscompile.placement import Embedding, best_placement
 from gscompile.solver import solve_exact
@@ -92,7 +97,28 @@ class TestCheckSolution:
         s.vars.S[1] = s.vars.S[0]
         s.vars.T[1] = s.vars.S[0] + dur
         labels = check_solution(m, s)
-        assert labels and any(lab.startswith(("constr-d", "constr-e")) for lab in labels)
+        assert labels and any(lab.startswith(("wire-excl", "constr-e")) for lab in labels)
+
+    @pytest.mark.parametrize("name", ["linear:4", "star:4", "fig1-seven"])
+    @pytest.mark.parametrize("kind", [ObjectiveKind.SMT_RUNTIME, ObjectiveKind.MAX_CANCELLATION])
+    def test_every_wire_pair_exclusive(self, name, kind):
+        # For every pair of live gates that share a wire, moving one gate's
+        # window to start at the other's start is refused.
+        cal = load_calibration(sample_calibration_path())
+        g = builtin_graph(name)
+        m = build_model(g, best_placement(g, cal), cal, Objective(kind))
+        v = solve_exact(m).vars
+        live = [gate for gate in m.gates if not v.B.get(gate.id)]
+        pairs = 0
+        for a in live:
+            for b in live:
+                if a is b or not set(resolved_wires(m, a, v.C)) & set(resolved_wires(m, b, v.C)):
+                    continue
+                start = v.S[a.id]
+                moved = replace(v, S={**v.S, b.id: start}, T={**v.T, b.id: start + v.T[b.id] - v.S[b.id]})
+                assert check_solution(m, Solution(moved, None, False)), (a, b)
+                pairs += 1
+        assert pairs
 
     def test_detects_duration_violation(self, sym3):
         m, s = solved(linear_graph(3), sym3, ObjectiveKind.MIN_MAKESPAN)
@@ -157,13 +183,13 @@ class TestEmitSmtlib:
         cal = load_calibration(sample_calibration_path())
         cases = [
             ("linear:8", ObjectiveKind.SMT_RUNTIME, True, 229,
-             "0b616a9b237cb3a540ec7a0d6cf2194e08316d981e3825328422ede713f4c367"),
+             "60ac6707bb10ecacaa07457a1a14a11493ec78ac9e868ae3869090c7d0cb696b"),
             ("fig1-seven", ObjectiveKind.MAX_REMAINING_COHERENCE, False, 213,
-             "323e92c2307fb44a05266d0f9cc7c3b74b81fba5a3228f69e8ed1db526251432"),
+             "fdb4b8045510eac0facd2a13244a19790ebc58f25067a5895cb035adcda7b3b2"),
             ("star:4", ObjectiveKind.MAX_CANCELLATION, False, 103,
-             "684b3e8e8bfdeef9fdbecaf46ac621a9dd15acefbb88f8dae711974b89ef7021"),
+             "e9f15a2a48ce628220148a70d502ed48cbbde1192f9ef941d264cd3dc24a4d14"),
             ("linear:11", ObjectiveKind.MIN_MAKESPAN, True, 331,
-             "f0d485ae87cc8de4f6f7a2379032158ccfd68a7a3fb45396c186215017bc3bc6"),
+             "44238497a7f379621c4052f9e0d34825a94e0ee530a84201cf55a72c26d2124a"),
         ]
         for name, kind, crosstalk, constraints, digest in cases:
             g = builtin_graph(name)
@@ -176,6 +202,23 @@ class TestEmitSmtlib:
             for node in _subtrees(expr for _, expr in m.constraints):
                 if isinstance(node, (And, Or)):
                     assert len(node.args) >= 2, name
+
+    def test_declared_variables_are_the_decoded_ones(self):
+        # emit_smtlib declares, before its first assertion, exactly the
+        # variables that the checker reads and the decoder fills.
+        cal = load_calibration(sample_calibration_path())
+        cases = [
+            ("linear:8", ObjectiveKind.SMT_RUNTIME, True),
+            ("fig1-seven", ObjectiveKind.MAX_REMAINING_COHERENCE, False),
+            ("star:4", ObjectiveKind.MAX_CANCELLATION, False),
+            ("linear:11", ObjectiveKind.MIN_MAKESPAN, True),
+        ]
+        for name, kind, crosstalk in cases:
+            g = builtin_graph(name)
+            m = build_model(g, best_placement(g, cal), cal, Objective(kind, crosstalk))
+            text = emit_smtlib(m)
+            declared = re.findall(r"\(declare-fun (\S+) \(\) (\S+)\)", text[: text.index("(assert")])
+            assert sorted(declared) == sorted((n, sort) for n, sort, _, _ in _variables(m)), name
 
     def test_every_constraint_asserted_with_label(self, sym3):
         g = linear_graph(3)
@@ -369,7 +412,7 @@ def test_wire_order_subtrees_are_shared():
 
 def test_star_targets_resolved_per_direction(sym3):
     # A hub wire shared by several CNOTs exercises the direction-dependent
-    # wire logic in constr-d/e and the pairing constraints.
+    # wire logic in wire-excl/constr-e and the pairing constraints.
     g = star_graph(4)
     cal = graph_calibration(g)
     m = build_model(g, identity_embedding(g), cal, Objective(ObjectiveKind.MAX_CANCELLATION))
