@@ -197,7 +197,7 @@ def circuit_from_json(data: dict) -> TimedCircuit:
         raise ValidationError(f"circuit file: gates must be a list, got {data['gates']!r}")
     inverse = {q: v for v, q in enumerate(placement)}
     gates = []
-    edges = set()
+    edges: Dict[Tuple[int, int], int] = {}  # vertex pair -> index of its cx
     for k, g in enumerate(data["gates"]):
         if not isinstance(g, dict):
             raise ValidationError(f"circuit file: gates[{k}] must be an object, got {g!r}")
@@ -218,7 +218,10 @@ def circuit_from_json(data: dict) -> TimedCircuit:
         gates.append(TimedGate(kind, tuple(wires), Fraction(start), Fraction(end)))
         if kind == "cx":
             u, v = inverse[wires[0]], inverse[wires[1]]
-            edges.add((min(u, v), max(u, v)))
+            pair = (min(u, v), max(u, v))
+            if pair in edges:
+                raise ValidationError(f"circuit file: gates[{k}] repeats the cx pair of gates[{edges[pair]}]")
+            edges[pair] = k
     try:
         _validate_wires(gates)
     except SolutionError as exc:

@@ -11,12 +11,14 @@ evaluated exactly (check_solution) and serialized to SMT-LIB (emit_smtlib),
 so the built-in solver and an external optimizing solver see the same model.
 The trees have three shapes (a variable, a binary operator, an n-ary and/or)
 besides constants and negation, and their nodes compare by identity. The
-atoms (variables, per-wire conditions) and the wire-order subtrees of the
-pairing constraints are built once per model and shared between constraints.
-One gap rule (``_none_within``) writes every wire-order subtree: no live gate
-on the wire lies inside the gap from one CNOT's end, or from time 0, to
-another CNOT's start. It has one conjunct per gate that may act on the wire,
-and none for the gates that never do.
+atoms (variables, per-wire conditions) are built once per model and shared
+between constraints. So is each candidate Hadamard pair on a wire (the
+wire's prep with a PRE, or a POST with another CNOT's PRE): it is one term,
+an option of both its Hadamards' pairing constraints. One gap rule
+(``_none_within``) writes each term's wire-order subtree: no live gate on
+the wire lies inside the gap from one CNOT's end, or from time 0, to another
+CNOT's start. It has one conjunct per gate that may act on the wire, and
+none for the gates that never do.
 """
 
 from __future__ import annotations
@@ -335,8 +337,7 @@ def build_model(
 
 
 class _Terms:
-    """The atoms of one model and the gap subtrees (``_none_within``) its
-    pairing constraints share.
+    """The atoms of one model and its per-wire gate indexes.
 
     One instance serves one _build_constraints (or emit_smtlib) call, so
     nothing is shared between models.
@@ -365,8 +366,6 @@ class _Terms:
             for q in wires:
                 self.on_wire.setdefault(q, []).append(gid)
         self.cnots_on = {q: [gid for gid in gids if gid < m.num_cnots] for q, gids in self.on_wire.items()}
-        # gaps[(q, j1, j2)]: the _none_within tree of that gap.
-        self.gaps: Dict[Tuple[int, Optional[int], int], Expr] = {}
 
 
 def _nonoverlap(t: _Terms, a: int, b: int) -> Expr:
@@ -378,22 +377,16 @@ def _none_within(t: _Terms, q: int, j1: Optional[int], j2: int) -> Expr:
     CNOT j1 (from time 0 when j1 is None) to the start of CNOT j2.
 
     One conjunct per gate that may act on q (other than j1, j2), in gate
-    order; q's prep is one of them, so the conjunction is never empty. Built
-    once per (q, j1, j2) and model: the pair options that name one gap share
-    the tree (pair-prep and pair-pre the gap from 0, pair-pre[j2] and
-    pair-post[j1] the gap between two CNOTs).
+    order; q's prep is one of them, so the conjunction is never empty. Its
+    one user is the pair term of (j1, j2) on q.
     """
-    tree = t.gaps.get((q, j1, j2))
-    if tree is None:
-        terms = [
-            # conj drops the TRUE that stands for "after time 0".
-            Not(conj(t.wires[gid][q], t.live[gid], TRUE if j1 is None else Le(t.T[j1], t.S[gid]),
-                     Le(t.T[gid], t.S[j2])))
-            for gid in t.on_wire[q]
-            if gid != j1 and gid != j2
-        ]
-        tree = t.gaps[(q, j1, j2)] = conj(*terms)
-    return tree
+    return conj(*(
+        # conj drops the TRUE that stands for "after time 0".
+        Not(conj(t.wires[gid][q], t.live[gid], TRUE if j1 is None else Le(t.T[j1], t.S[gid]),
+                 Le(t.T[gid], t.S[j2])))
+        for gid in t.on_wire[q]
+        if gid != j1 and gid != j2
+    ))
 
 
 def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
@@ -429,30 +422,26 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
         cons.append((f"constr-b[{i}]", implies(live[pre], Le(T[pre], S[i]))))
         cons.append((f"constr-c[{i}]", implies(live[post], Le(T[i], S[post]))))
 
-    # prep-first: the initial |+> preparation precedes everything on its wire.
-    for v in range(g.n):
-        pid = m.prep_id(v)
-        q = m.prep_wire(v)
-        for gid in t.on_wire[q]:
-            if gid == pid:
-                continue
-            cond = conj(live[pid], live[gid], t.wires[gid][q])
-            cons.append((f"prep-first[{pid},{gid}]", implies(cond, Le(T[pid], S[gid]))))
-
-    # wire-excl: two live gates that may act on one wire never overlap there.
-    # One walk over the pairs of each wire's gates. It skips a pair with a
-    # prep, which prep-first orders, and a CNOT's own sandwich (i, pre_i,
-    # post_i), which b/c order. The CNOT pairs state constr-d (same-role CNOTs
-    # on a shared qubit) and no more: a pair with different roles on q is
-    # already kept apart by constr-e, whose branches each give T_i <= S_j or
-    # T_j <= S_i through b/c and constr-a's durations.
+    # prep-first / wire-excl: one walk over the pairs of each wire's gates,
+    # each pair's condition being that both gates are live and on the wire.
+    # A pair with the wire's prep orders the prep first (prep-first). Any
+    # other pair, save a CNOT's own sandwich (i, pre_i, post_i), which b/c
+    # order, never overlaps there (wire-excl). The CNOT pairs state constr-d
+    # (same-role CNOTs on a shared qubit) and no more: a pair with different
+    # roles on q is already kept apart by constr-e, whose branches each give
+    # T_i <= S_j or T_j <= S_i through b/c and constr-a's durations.
     for q, gids in t.on_wire.items():
         for a, b in combinations(gids, 2):
+            if m.gates[b].role == "prep":
+                a, b = b, a
             ga, gb = m.gates[a], m.gates[b]
-            if "prep" in (ga.role, gb.role) or ga.of == gb.of:
+            if ga.role != "prep" and ga.of == gb.of:
                 continue
             cond = conj(t.wires[a][q], t.wires[b][q], live[a], live[b])
-            cons.append((f"wire-excl[{a},{b},{q}]", implies(cond, _nonoverlap(t, a, b))))
+            if ga.role == "prep":
+                cons.append((f"prep-first[{a},{b}]", implies(cond, Le(T[a], S[b]))))
+            else:
+                cons.append((f"wire-excl[{a},{b},{q}]", implies(cond, _nonoverlap(t, a, b))))
 
     # constr-e: a CNOT controlling q must stay clear of the whole Hadamard
     # sandwich of a CNOT targeting q.
@@ -480,30 +469,23 @@ def _build_constraints(m: SchedModel) -> List[Tuple[str, Expr]]:
         ]
         cons.append((f"constr-f[{hid}]", implies(B[hid], disj(*witnesses))))
 
-    # pair-*: canceled Hadamards must pair up adjacently on their wire:
-    # PREP with the PRE of the wire's first targeting CNOT, or POST(f) with
-    # PRE(f') for consecutive targeting CNOTs.
+    # pair-*: canceled Hadamards must pair up adjacently on their wire: the
+    # wire's PREP with the PRE of a CNOT j targeting it, or POST(i) with
+    # PRE(j) for CNOTs i, j targeting it back to back. Each candidate pair is
+    # one term, an option of both its Hadamards' constraints.
     prep_by_wire = {m.prep_wire(v): m.prep_id(v) for v in range(g.n)}
-    for v in range(g.n):
-        pid = m.prep_id(v)
-        q = m.prep_wire(v)
-        options = [
-            conj(targets[j][q], B[m.pre_id(j)], _none_within(t, q, None, j))
-            for j in t.cnots_on[q]
-        ]
-        cons.append((f"pair-prep[{pid}]", implies(B[pid], disj(*options))))
-    for i, (pa, pb, _, _) in enumerate(m.cnot_info):
-        pre_opts, post_opts = [], []
-        for q in (pa, pb):
-            ti = targets[i][q]
-            pre_opts.append(conj(ti, B[prep_by_wire[q]], _none_within(t, q, None, i)))
-            for j in t.cnots_on[q]:
-                if j != i:
-                    tj = targets[j][q]
-                    pre_opts.append(conj(ti, tj, B[m.post_id(j)], Le(T[j], S[i]), _none_within(t, q, j, i)))
-                    post_opts.append(conj(ti, tj, B[m.pre_id(j)], Le(T[i], S[j]), _none_within(t, q, i, j)))
-        cons.append((f"pair-pre[{i}]", implies(B[m.pre_id(i)], disj(*pre_opts))))
-        cons.append((f"pair-post[{i}]", implies(B[m.post_id(i)], disj(*post_opts))))
+    options: Dict[int, List[Expr]] = {hid: [] for hid in m.hadamard_ids()}
+    for q, js in t.cnots_on.items():
+        for i, j in [(None, j) for j in js] + list(permutations(js, 2)):
+            h1, h2 = prep_by_wire[q] if i is None else m.post_id(i), m.pre_id(j)
+            after_i = () if i is None else (targets[i][q], Le(T[i], S[j]))
+            term = conj(targets[j][q], *after_i, B[h1], B[h2], _none_within(t, q, i, j))
+            options[h1].append(term)
+            options[h2].append(term)
+    for hid, opts in options.items():
+        gate = m.gates[hid]
+        label = f"pair-prep[{hid}]" if gate.role == "prep" else f"pair-{gate.role}[{gate.of}]"
+        cons.append((label, implies(B[hid], disj(*opts))))
 
     # Optional crosstalk exclusion between adjacent two-qubit gates.
     for i, j in m.crosstalk_pairs:
@@ -592,13 +574,8 @@ def emit_smtlib(m: SchedModel) -> str:
     if m.objective.kind is ObjectiveKind.SMT_RUNTIME:
         lines.append("(set-option :opt.priority lex)")
     lines.append("(set-logic QF_LRA)")
-    for gate in m.gates:
-        lines.append(f"(declare-fun S_{gate.id} () Real)")
-        lines.append(f"(declare-fun T_{gate.id} () Real)")
-    for i in range(m.num_cnots):
-        lines.append(f"(declare-fun C_{i} () Bool)")
-    for hid in m.hadamard_ids():
-        lines.append(f"(declare-fun B_{hid} () Bool)")
+    for name, sort, _, _ in _variables(m):
+        lines.append(f"(declare-fun {name} () {sort})")
 
     for label, expr in m.constraints:
         lines.append(f"; {label}")

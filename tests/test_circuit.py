@@ -1,4 +1,6 @@
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,12 @@ from gscompile.circuit import (
     load_circuit,
     naive_circuit,
 )
+from gscompile.device import load_calibration, sample_calibration_path
 from gscompile.errors import SolutionError, ValidationError
-from gscompile.graphs import linear_graph, star_graph
-from gscompile.model import Objective, ObjectiveKind, build_model
+from gscompile.graphs import builtin_graph, linear_graph, star_graph
+from gscompile.model import Objective, ObjectiveKind, build_model, check_solution
+from gscompile.placement import best_placement
+from gscompile.sim import verify_graph_state
 from gscompile.solver import solve_exact
 
 from conftest import graph_calibration, identity_embedding, line_calibration, mutated_json
@@ -69,6 +74,42 @@ class TestDeriveCircuit:
         s.vars.T[1] = s.vars.T[0]
         with pytest.raises(SolutionError, match="overlapping"):
             derive_circuit(m, s)
+
+    def test_pair_rule_agrees_with_derived_pairs(self):
+        # The model's pair-* constraints and derive_circuit's own walk over
+        # each wire's gate sequence judge the pairing of canceled Hadamards
+        # independently. On seeded B flips of solved models, a walk refusal
+        # must come with a violated pair-* or constr-f constraint, and an
+        # assignment the model accepts must derive into a circuit that
+        # prepares the graph state.
+        cal = load_calibration(sample_calibration_path())
+        rng = random.Random(30)
+        refused = clean = 0
+        for name in ("linear:3", "linear:5", "star:4", "fig1-seven"):
+            g = builtin_graph(name)
+            e = best_placement(g, cal)
+            for kind in ObjectiveKind:
+                m = build_model(g, e, cal, Objective(kind))
+                s = solve_exact(m)
+                hids = m.hadamard_ids()
+                for _ in range(150):
+                    B = dict(s.vars.B)
+                    for h in rng.choices(hids, k=rng.randint(1, 3)):
+                        B[h] = not B[h]
+                    flipped = replace(s, vars=replace(s.vars, B=B))
+                    labels = check_solution(m, flipped)
+                    try:
+                        c = derive_circuit(m, flipped)
+                    except SolutionError as exc:
+                        assert labels, (name, kind, B)
+                        if "no adjacent canceled partner" in str(exc):
+                            refused += 1
+                            assert any(lab.startswith(("pair-", "constr-f")) for lab in labels), (name, kind, B)
+                        continue
+                    if not labels:
+                        clean += 1
+                        verify_graph_state(c)
+        assert refused > 0 and clean > 0
 
 
 class TestNaiveCircuit:

@@ -405,6 +405,8 @@ class TestMalformedInput:
             (lambda c: c.pop("makespan_ns"), "circuit file: missing keys ['makespan_ns']"),
             (lambda c: c["gates"].pop(2), "circuit file: the cx gates' graph on 2 vertices is not connected"),
             (lambda c: c.update(n=1), "circuit file: n must be at least 2, got 1"),
+            (lambda c: c["gates"].append({"kind": "cx", "wires": [1, 0], "start_ns": 335, "end_ns": 635}),
+             "circuit file: gates[3] repeats the cx pair of gates[2]"),
         ],
     )
     def test_bad_circuit_field_exit_1(self, tmp_path, capsys, sym3_path, edit, field):

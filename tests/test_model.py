@@ -1,5 +1,6 @@
 import hashlib
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -183,13 +184,13 @@ class TestEmitSmtlib:
         cal = load_calibration(sample_calibration_path())
         cases = [
             ("linear:8", ObjectiveKind.SMT_RUNTIME, True, 229,
-             "60ac6707bb10ecacaa07457a1a14a11493ec78ac9e868ae3869090c7d0cb696b"),
+             "e1ab277d702aa0c53e71a334daa86029cf3a98687095a3dbd98bcfe61f966b93"),
             ("fig1-seven", ObjectiveKind.MAX_REMAINING_COHERENCE, False, 213,
-             "fdb4b8045510eac0facd2a13244a19790ebc58f25067a5895cb035adcda7b3b2"),
+             "fe3d413b945cea5203c77531ac459026309bf3b793809c3a877b1ed45a82f7db"),
             ("star:4", ObjectiveKind.MAX_CANCELLATION, False, 103,
-             "e9f15a2a48ce628220148a70d502ed48cbbde1192f9ef941d264cd3dc24a4d14"),
+             "5c0a3428a9d14a40447327235d465c9111b1f67598e59b5a686f40f5fc5e5148"),
             ("linear:11", ObjectiveKind.MIN_MAKESPAN, True, 331,
-             "44238497a7f379621c4052f9e0d34825a94e0ee530a84201cf55a72c26d2124a"),
+             "0ef257a8419f30c293c2ec57ce29704879e91ec25ff728c11bd13fc31520bf32"),
         ]
         for name, kind, crosstalk, constraints, digest in cases:
             g = builtin_graph(name)
@@ -379,35 +380,27 @@ def _options(expr):
 
 
 def test_wire_order_subtrees_are_shared():
-    # pair-prep and pair-pre hold the same "none before" tree, and pair-pre[i]
-    # and pair-post[j] the same "none between" tree: one object, built once.
-    g = star_graph(4)
-    cal = graph_calibration(g)
-    m = build_model(g, identity_embedding(g), cal, Objective(ObjectiveKind.MAX_CANCELLATION))
-    cons = dict(m.constraints)
-    prep_of = {m.prep_wire(v): m.prep_id(v) for v in range(g.n)}
-    before = between = 0
-    for j, (pa, pb, _, _) in enumerate(m.cnot_info):
-        pre_opts = _options(cons[f"pair-pre[{j}]"])
-        for q in (pa, pb):
-            # pair-pre[j]'s option for the prep of q, and pair-prep's for j
-            mine = [o for o in pre_opts if o.args[1].smt() == f"B_{prep_of[q]}"]
-            theirs = [o for o in _options(cons[f"pair-prep[{prep_of[q]}]"])
-                      if o.args[1].smt() == f"B_{m.pre_id(j)}"]
-            assert len(mine) == len(theirs) == 1
-            assert mine[0].args[2] is theirs[0].args[2]
-            before += 1
-        # pair-pre[j]'s option after CNOT i, and pair-post[i]'s before CNOT j
+    # Each candidate pair of canceled Hadamards on a wire is one term, an
+    # option of exactly the pair-* constraints of its two Hadamards: the
+    # wire's prep with each CNOT's PRE (k_q terms) and POST(i) with PRE(j) for
+    # CNOTs i != j (k_q(k_q - 1) terms), k_q being the CNOTs on wire q.
+    for g in (star_graph(4), linear_graph(4)):
+        cal = graph_calibration(g)
+        m = build_model(g, identity_embedding(g), cal, Objective(ObjectiveKind.MAX_CANCELLATION))
+        label_of = {m.prep_id(v): f"pair-prep[{m.prep_id(v)}]" for v in range(g.n)}
         for i in range(m.num_cnots):
-            if i == j:
-                continue
-            mine = [o for o in pre_opts if o.args[2].smt() == f"B_{m.post_id(i)}"]
-            theirs = [o for o in _options(cons[f"pair-post[{i}]"]) if o.args[2].smt() == f"B_{m.pre_id(j)}"]
-            assert len(mine) == len(theirs)
-            for a, b in zip(mine, theirs):
-                assert a.args[4] is b.args[4]
-                between += 1
-    assert before == 2 * m.num_cnots and between == m.num_cnots * (m.num_cnots - 1)
+            label_of[m.pre_id(i)], label_of[m.post_id(i)] = f"pair-pre[{i}]", f"pair-post[{i}]"
+        cons = dict(m.constraints)
+        holders = {}  # id(term) -> (term, the labels whose options hold it)
+        for label in label_of.values():
+            for term in _options(cons[label]):
+                holders.setdefault(id(term), (term, []))[1].append(label)
+        for term, labels in holders.values():
+            pair = [int(a.name[2:]) for a in term.args if isinstance(a, Var) and a.name.startswith("B_")]
+            assert len(pair) == 2
+            assert sorted(labels) == sorted(label_of[h] for h in pair)
+        k = Counter(q for pa, pb, _, _ in m.cnot_info for q in (pa, pb))
+        assert len(holders) == sum(kq * kq for kq in k.values())
 
 
 def test_star_targets_resolved_per_direction(sym3):
