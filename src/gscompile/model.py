@@ -53,6 +53,8 @@ def _smt_num(x: Number) -> str:
 
 
 class Expr:
+    __slots__ = ()
+
     def eval(self, env: Dict[str, object]):
         raise NotImplementedError
 
@@ -60,12 +62,16 @@ class Expr:
         raise NotImplementedError
 
 
-# Nodes compare by identity (eq=False): the folds test the TRUE/FALSE
-# singletons with `is`, and nothing hashes or compares expressions by value.
+# Nodes are plain slotted classes with no __eq__, so they compare by
+# identity: the folds test the TRUE/FALSE singletons with `is`, and nothing
+# hashes or compares expressions by value. A model builds thousands of them,
+# so construction is a bare __init__.
 
-@dataclass(frozen=True, eq=False)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def eval(self, env):
         return env[self.name]
@@ -74,9 +80,11 @@ class Var(Expr):
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
 class Const(Expr):
-    value: Union[bool, Fraction]
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[bool, Fraction]):
+        self.value = value
 
     def eval(self, env):
         return self.value
@@ -91,9 +99,11 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True, eq=False)
 class Not(Expr):
-    a: Expr
+    __slots__ = ("a",)
+
+    def __init__(self, a: Expr):
+        self.a = a
 
     def eval(self, env):
         return not self.a.eval(env)
@@ -102,14 +112,16 @@ class Not(Expr):
         return f"(not {self.a.smt()})"
 
 
-@dataclass(frozen=True, eq=False)
 class Binary(Expr):
     """``(head a b)``, evaluated as ``op(a, b)``."""
 
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
     head: ClassVar[str]
     op: ClassVar[Callable[[object, object], object]]
+
+    def __init__(self, a: Expr, b: Expr):
+        self.a = a
+        self.b = b
 
     def eval(self, env):
         return self.op(self.a.eval(env), self.b.eval(env))
@@ -119,31 +131,37 @@ class Binary(Expr):
 
 
 class Sub(Binary):
+    __slots__ = ()
     head, op = "-", sub
 
 
 class Le(Binary):
+    __slots__ = ()
     head, op = "<=", le
 
 
 class EqR(Binary):
+    __slots__ = ()
     head, op = "=", eq
 
 
 class Implies(Binary):
+    __slots__ = ()
     head = "=>"
 
     def eval(self, env):
         return not self.a.eval(env) or self.b.eval(env)
 
 
-@dataclass(frozen=True, eq=False)
 class Nary(Expr):
     """``(head args...)`` over at least two args, evaluated by ``op``."""
 
-    args: Tuple[Expr, ...]
+    __slots__ = ("args",)
     head: ClassVar[str]
     op: ClassVar[Callable[[Iterable[object]], bool]]
+
+    def __init__(self, args: Tuple[Expr, ...]):
+        self.args = args
 
     def eval(self, env):
         return self.op(a.eval(env) for a in self.args)
@@ -153,10 +171,12 @@ class Nary(Expr):
 
 
 class And(Nary):
+    __slots__ = ()
     head, op = "and", all
 
 
 class Or(Nary):
+    __slots__ = ()
     head, op = "or", any
 
 

@@ -6,8 +6,8 @@ that every pattern edge lands on a host edge (non-induced embedding). One
 `SearchPlan` holds the pattern order (BFS from vertex 0) and the candidate
 rule for every search: `embeddings_iter` tries candidates in ascending index
 order, so callers can rely on a stable enumeration sequence, and
-`placement.best_placement` tries them best fidelity factor first and prunes
-by a bound, keeping the exhaustive tie rule.
+`placement.best_placement` tries them best bound first and prunes by that
+bound, keeping the exhaustive tie rule.
 """
 
 from collections import deque
