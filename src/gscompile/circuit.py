@@ -75,8 +75,8 @@ def derive_circuit(m: SchedModel, s: Solution) -> TimedCircuit:
 
     Assumes check_solution(m, s) is empty; additionally verifies that the
     canceled Hadamards form adjacent same-wire pairs (prep+pre, or post+pre
-    of consecutive same-target CNOTs), which the model variables alone do not
-    guarantee.
+    of consecutive same-target CNOTs), an independent check of the model's
+    pair-* rule; test_pair_rule_agrees_with_derived_pairs compares the two.
     """
     v = s.vars
     wires = [resolved_wires(m, gate, v.C) for gate in m.gates]  # a CNOT's are (control, target)

@@ -101,15 +101,17 @@ def _build_instance(args):
 
 
 def _solve_external(m, command: str):
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:  # e.g. an unbalanced quote
+        raise ValidationError(f"--external-solver: {exc}") from None
     with tempfile.NamedTemporaryFile(
         "w", suffix=".smt2", delete=False, encoding="utf-8"
     ) as f:
         f.write(emit_smtlib(m))
         path = f.name
     try:
-        proc = subprocess.run(
-            shlex.split(command) + [path], capture_output=True, timeout=EXTERNAL_SOLVER_TIMEOUT_S
-        )
+        proc = subprocess.run(argv + [path], capture_output=True, timeout=EXTERNAL_SOLVER_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         raise ExternalSolverError(f"external solver timed out after {EXTERNAL_SOLVER_TIMEOUT_S} s") from None
     finally:

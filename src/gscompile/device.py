@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Tuple
 
 from .errors import ValidationError
-from .graphs import _is_int, _read_json, _require_keys
+from .graphs import _is_int, _read_json, _require_keys, adjacency
 
 # Field name -> type of each calibration record.
 _QUBIT_FIELDS = {"index": int, "coherence_time_us": float, "readout_p01": float,
@@ -160,12 +160,8 @@ def save_calibration(cal: DeviceCalibration, path) -> None:
 
 
 def topology_graph(cal: DeviceCalibration) -> Dict[int, FrozenSet[int]]:
-    """Undirected simple coupling graph as an adjacency map over qubit indices."""
-    adj: Dict[int, set] = {q.index: set() for q in cal.qubits}
-    for c in cal.couplers:
-        adj[c.a].add(c.b)
-        adj[c.b].add(c.a)
-    return {v: frozenset(nb) for v, nb in sorted(adj.items())}
+    """Undirected simple coupling graph as an adjacency map, in ascending qubit index."""
+    return adjacency(sorted(q.index for q in cal.qubits), ((c.a, c.b) for c in cal.couplers))
 
 
 def sample_calibration_path() -> Path:

@@ -8,12 +8,12 @@ subset products) is what the fidelity estimation protocol measures.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import CapExceededError, ValidationError
-from .subiso import adjacency, bfs_order
 
 STABILIZER_GROUP_CAP = 12
 
@@ -64,6 +64,31 @@ def mul_phase(x1: int, z1: int, x2: int, z2: int) -> int:
     )
 
 
+def adjacency(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> Dict[int, FrozenSet[int]]:
+    """Undirected adjacency map, keyed in the order the vertices are given."""
+    adj: Dict[int, set] = {v: set() for v in vertices}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {v: frozenset(nb) for v, nb in adj.items()}
+
+
+def bfs_order(n: int, adj: Dict[int, FrozenSet[int]]) -> List[int]:
+    """BFS vertex order from vertex 0: all n vertices exactly when the graph
+    is connected, which is how `GraphSpec` checks connectivity."""
+    order = [0]
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(adj[v]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                queue.append(w)
+    return order
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Simple connected undirected graph over vertices 0..n-1."""
@@ -84,7 +109,7 @@ class GraphSpec:
             raise ValidationError("graph must be connected")
 
     def adjacency(self) -> Dict[int, FrozenSet[int]]:
-        return adjacency(self.n, self.edges)
+        return adjacency(range(self.n), self.edges)
 
     def sorted_edges(self) -> List[Tuple[int, int]]:
         return sorted(self.edges)

@@ -5,7 +5,13 @@ The score is the product of gate fidelities touched by the embedding: one
 gate. Coherence and readout quality deliberately do not enter here; they are
 handled by the scheduler's objectives and the noise model.
 
-`best_placement` is a branch and bound over the `subiso` search tree, with
+An embedding maps the pattern's vertices injectively onto qubits, every
+edge onto a coupler; extra couplers between mapped qubits are allowed
+(non-induced). One `SearchPlan` holds the pattern order (BFS from vertex 0,
+VF2-style; Cordella et al., IEEE TPAMI 26(10), 2004) and the candidate rule.
+`enumerate_embeddings` tries candidates in ascending order, a stable sequence.
+
+`best_placement` is a branch and bound over the same search tree, with
 a bound read off the pattern's BFS tree: a step's tree parent is its
 earliest-mapped back neighbour. Before the search, one pass from the last
 step to the first fills, for each non-root step c and each host b of c's
@@ -43,12 +49,11 @@ the result is the exhaustive maximum, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .device import DeviceCalibration, topology_graph
 from .errors import NotNativeError
-from .graphs import GraphSpec
-from .subiso import SearchPlan, embeddings_iter
+from .graphs import GraphSpec, adjacency, bfs_order
 
 _SLACK = 1.0 + 1e-9  # covers float rounding in products of up to ~10**6 factors
 
@@ -61,11 +66,53 @@ class Embedding:
     score: float
 
 
+class SearchPlan:
+    """Step i maps pattern vertex order[i]; back[i] are its earlier-mapped
+    neighbours, and `candidates` is the one rule for the hosts it may take."""
+
+    def __init__(self, n: int, edges: Iterable[Tuple[int, int]], host_adj: Dict[int, FrozenSet[int]]):
+        pattern_adj = adjacency(range(n), edges)
+        self.order = bfs_order(n, pattern_adj)
+        step = {v: i for i, v in enumerate(self.order)}
+        self.back = [sorted(w for w in pattern_adj[v] if step[w] < step[v]) for v in self.order]
+        self.degree = [len(pattern_adj[v]) for v in self.order]
+        self.host_adj = host_adj
+        self.hosts = sorted(host_adj)
+        self.host_nbrs = {h: sorted(nb) for h, nb in host_adj.items()}
+
+    def candidates(self, i: int, mapping: Sequence[int], used: Set[int]) -> List[int]:
+        """Host vertices step i may take, ascending; mapping[v] is v's host."""
+        back = self.back[i]
+        pool = self.host_nbrs[mapping[back[0]]] if back else self.hosts
+        for w in back[1:]:
+            pool = [h for h in pool if h in self.host_adj[mapping[w]]]
+        return [h for h in pool if h not in used and len(self.host_adj[h]) >= self.degree[i]]
+
+
 def enumerate_embeddings(g: GraphSpec, cal: DeviceCalibration) -> Iterator[Embedding]:
-    """Yield every topology embedding of g exactly once (score left at 0)."""
-    topo = topology_graph(cal)
-    for mapping in embeddings_iter(g.n, g.edges, topo):
-        yield Embedding(mapping, 0.0)
+    """Yield every embedding of g exactly once (score left at 0); mapping[v] is v's qubit."""
+    n = g.n
+    plan = SearchPlan(n, g.edges, topology_graph(cal))
+    mapping = [-1] * n
+    used: Set[int] = set()
+
+    def extend(i: int) -> Iterator[Embedding]:
+        if i == n:
+            yield Embedding(tuple(mapping), 0.0)
+            return
+        v = plan.order[i]
+        for h in plan.candidates(i, mapping, used):
+            mapping[v] = h
+            used.add(h)
+            yield from extend(i + 1)
+            used.discard(h)
+
+    try:
+        yield from extend(0)
+    finally:
+        # extend holds itself through its closure; unbinding it frees the search
+        # on return (or close) instead of at the next full garbage collection.
+        del extend
 
 
 def score_embedding(e: Embedding, g: GraphSpec, cal: DeviceCalibration) -> float:
@@ -178,7 +225,7 @@ def best_placement(g: GraphSpec, cal: DeviceCalibration) -> Embedding:
             used.discard(h)
 
     extend(0, 1.0)
-    del extend  # unbinds its self-reference, as for subiso.embeddings_iter
+    del extend  # unbinds its self-reference, as in enumerate_embeddings
     if best is None:
         raise _not_native(n, cal)
     return best

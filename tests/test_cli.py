@@ -518,6 +518,14 @@ class TestExternalSolver:
         assert err.splitlines() == [err.strip()] and err.startswith("gscompile: ")
         assert "timed out after 0.5 s" in err and "Traceback" not in err
 
+    def test_unbalanced_quote_exit_1(self, capsys, sym3_path):
+        code, _, err = run_main(
+            ["compile", "--graph", "linear:3", "--cal", sym3_path, "--external-solver", '"z3'], capsys
+        )
+        assert code == 1
+        assert err.splitlines() == [err.strip()] and err.startswith("gscompile: --external-solver: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "bindings, named",
         [

@@ -19,7 +19,6 @@ from gscompile.graphs import (
     stabilizer_generators,
     stabilizer_group,
 )
-from gscompile.subiso import adjacency, embeddings_iter
 
 from conftest import mutated_json
 
@@ -170,15 +169,3 @@ class TestStabilizers:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             stabilizer_group(linear_graph(13))
-
-
-class TestNativity:
-    def test_triangle_not_native_to_tree(self):
-        tri = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        topo = adjacency(4, [(0, 1), (1, 2), (2, 3)])
-        assert next(embeddings_iter(tri.n, tri.edges, topo), None) is None
-
-    def test_path_native_to_path(self):
-        g = linear_graph(3)
-        topo = adjacency(3, [(0, 1), (1, 2)])
-        assert next(embeddings_iter(g.n, g.edges, topo), None) is not None

@@ -6,6 +6,7 @@ import pytest
 
 from gscompile.device import (
     DeviceCalibration,
+    calibration_from_json,
     load_calibration,
     sample_calibration_path,
     topology_graph,
@@ -14,11 +15,11 @@ from gscompile.errors import NotNativeError
 from gscompile.graphs import builtin_graph, graph_from_edges, linear_graph
 from gscompile.placement import (
     Embedding,
+    SearchPlan,
     best_placement,
     enumerate_embeddings,
     score_embedding,
 )
-from gscompile.subiso import SearchPlan
 
 from conftest import line_calibration, make_calibration, reference_placement
 
@@ -38,6 +39,28 @@ def test_linear2_into_path3_has_four_embeddings():
     cal = line_calibration(3)
     found = sorted(e.mapping for e in enumerate_embeddings(linear_graph(2), cal))
     assert found == [(0, 1), (1, 0), (1, 2), (2, 1)]
+
+
+def test_path_native_to_path():
+    assert next(enumerate_embeddings(linear_graph(3), line_calibration(3)), None) is not None
+
+
+def test_sparse_unsorted_qubit_indices():
+    # Qubits listed as 9, 4, 0, 7 (7 has no coupler): the topology is keyed
+    # in ascending index order, and the only 3-paths run through qubit 4.
+    qubit = {"coherence_time_us": 100.0, "readout_p01": 0.02, "readout_p10": 0.03,
+             "sq_duration_ns": 35, "sq_error": 0.001}
+    coupler = {"duration_ab_ns": 300, "duration_ba_ns": 300, "error": 0.01}
+    cal = calibration_from_json({
+        "snapshot_label": "sparse",
+        "qubits": [dict(qubit, index=i) for i in (9, 4, 0, 7)],
+        "couplers": [dict(coupler, a=4, b=9), dict(coupler, a=0, b=4)],
+    })
+    topo = topology_graph(cal)
+    assert topo == {0: frozenset({4}), 4: frozenset({0, 9}), 7: frozenset(), 9: frozenset({4})}
+    assert list(topo) == [0, 4, 7, 9]
+    found = [e.mapping for e in enumerate_embeddings(linear_graph(3), cal)]
+    assert sorted(found) == [(0, 4, 9), (9, 4, 0)]
 
 
 def test_triangle_into_tree_is_empty():

@@ -421,10 +421,11 @@ def test_search_work_pinned(monkeypatch):
 
 
 def test_searches_leave_no_cyclic_garbage():
-    # The recursive searches of placement, subiso and the solver hold
-    # themselves through their closures. Each unbinds itself on return, so
-    # a call leaves nothing for the cyclic collector, whose next full pass
-    # would otherwise be what frees the search's tables.
+    # The recursive searches of placement (best placement and embedding
+    # enumeration) and of the solver hold themselves through their
+    # closures. Each unbinds itself on return, so a call leaves nothing for
+    # the cyclic collector, whose next full pass would otherwise be what
+    # frees the search's tables.
     cal = load_calibration(sample_calibration_path())
     g = linear_graph(8)
     m = build_model(g, best_placement(g, cal), cal, Objective(ObjectiveKind.SMT_RUNTIME))
